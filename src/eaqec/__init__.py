@@ -65,4 +65,22 @@ from .reduction import (
     replay,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # checkmatrix
+    "CheckMatrix", "CliffordOp", "RowOp", "add", "apply_clifford", "apply_ops",
+    "apply_row_op", "dft", "mul", "parse_check_matrix", "phase", "row_add", "row_scale",
+    "row_space_equal", "row_swap", "serialize_check_matrix",
+    # circuit
+    "Circuit", "apply_circuit", "circuit_from_json", "circuit_to_json", "invert_oplog",
+    "synthesize_encoding_circuit", "verify_encoding_circuit",
+    # eacode
+    "EACode", "alice_error", "build_code", "check_eq4", "css_import", "in_centralizer",
+    "in_group", "is_correctable", "parse_classical", "syndrome",
+    # field, pauli
+    "GaloisField", "make_field", "Pauli", "commutes", "pauli_mul", "pauli_weight",
+    "symplectic_product",
+    # reduction
+    "NORMALIZED", "STRICT", "ReductionResult", "augment_ebits", "augmented_source",
+    "code_params", "encoded_generators", "gram_matrix", "inverse_ops", "normalize_pair",
+    "reduce_matrix", "replay",
+]

@@ -1,10 +1,13 @@
 """Phaseless stabilizer presentations: rows of (x | z) over GF(q).
 
-A CheckMatrix is immutable; every operation returns a new value.  Row
-operations (swap, scaled add, scale) change the generating set but not the
-generated group; Clifford column operations (DFT, MUL, PHASE, ADD) are the
-symplectic transformations induced by conjugating the generators by the
-corresponding gates, one column per qudit:
+A CheckMatrix is immutable and validated; every operation returns a new
+value.  Multi-op work (reduction, replay, circuits) runs on one private
+mutable working tableau, `_Tableau`, and validates the result once.
+
+Row operations (swap, scaled add, scale) change the generating set but
+not the generated group; Clifford column operations (DFT, MUL, PHASE,
+ADD) are the symplectic transformations induced by conjugating the
+generators by the corresponding gates, one column per qudit:
 
     DFT(i):        (x_i, z_i) -> (z_i, -x_i)
     MUL(g, i):     (x_i, z_i) -> (g^-1 x_i, g z_i),  g != 0
@@ -20,7 +23,8 @@ Text format (bit-exact contract)::
     poly c0 c1 ... cm        # only if m > 1
     a1 .. an | b1 .. bn      # r such rows, entries in 0..q-1
 
-'#' starts a comment; tokens are whitespace-separated.
+'#' starts a comment; tokens are whitespace-separated; integers are ASCII
+digits only; q = p^m must not exceed 2^16.
 """
 
 from __future__ import annotations
@@ -49,6 +53,9 @@ ADD = "ADD"
 SWAP = "SWAP"
 ADDMUL = "ADDMUL"
 SCALE = "SCALE"
+
+# documented scope of the field size q = p^m; parsing enforces it
+MAX_Q = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,20 @@ def row_op_scale(i: int, scalar: int) -> RowOp:
     return RowOp(SCALE, i, scalar=scalar)
 
 
+def _row_index(i: int, r: int) -> int:
+    """0-based position of 1-based row i among r rows."""
+    if not 1 <= i <= r:
+        raise IndexOutOfRangeError(f"row {i} outside 1..{r}")
+    return i - 1
+
+
+def _col_index(i: int, n: int) -> int:
+    """0-based position of 1-based qudit i among n."""
+    if not 1 <= i <= n:
+        raise IndexOutOfRangeError(f"qudit {i} outside 1..{n}")
+    return i - 1
+
+
 @dataclass(frozen=True)
 class CheckMatrix:
     field: GaloisField
@@ -142,16 +163,7 @@ class CheckMatrix:
 
     def row(self, i: int) -> Row:
         """1-based row access."""
-        self._check_row_index(i)
-        return self.rows[i - 1]
-
-    def _check_row_index(self, i: int):
-        if not 1 <= i <= len(self.rows):
-            raise IndexOutOfRangeError(f"row {i} outside 1..{len(self.rows)}")
-
-    def _check_col_index(self, i: int):
-        if not 1 <= i <= self.n:
-            raise IndexOutOfRangeError(f"qudit {i} outside 1..{self.n}")
+        return self.rows[_row_index(i, len(self.rows))]
 
     def product(self, i: int, j: int) -> int:
         """Symplectic product of rows i and j (1-based)."""
@@ -176,7 +188,7 @@ class CheckMatrix:
 
 
 # ---------------------------------------------------------------------------
-# row operations
+# the working tableau
 # ---------------------------------------------------------------------------
 
 def _scalar_domain_check(field: GaloisField, scalar: int):
@@ -186,121 +198,145 @@ def _scalar_domain_check(field: GaloisField, scalar: int):
             f"scalar {scalar!r} outside the allowed domain 0..{limit - 1}")
 
 
+def _gamma_check(field: GaloisField, op: CliffordOp):
+    g = op.gamma
+    if not isinstance(g, int) or not 0 <= g < field.q:
+        raise NonInvertibleGammaError(f"{op.kind} gamma {g!r} is not a field element")
+    return g
+
+
+class _Tableau:
+    """Mutable working copy of a CheckMatrix: one list of ints per row side.
+
+    Built from a validated CheckMatrix, updated in place by `apply` and
+    turned back into a validated CheckMatrix by `freeze`, so entries are
+    checked once on the way in and once on the way out.  A column op costs
+    O(rows) and a row op O(n).  Every op is checked (indices, gamma,
+    scalar) before anything is written, with the same errors as the
+    single-op functions below, which are wrappers around this class.
+    """
+
+    __slots__ = ("field", "n", "xs", "zs")
+
+    def __init__(self, m: CheckMatrix):
+        self.field = m.field
+        self.n = m.n
+        self.xs = [list(x) for x, _ in m.rows]
+        self.zs = [list(z) for _, z in m.rows]
+
+    @property
+    def row_count(self) -> int:
+        return len(self.xs)
+
+    def freeze(self) -> CheckMatrix:
+        return CheckMatrix(self.field, self.n,
+                           tuple((tuple(x), tuple(z)) for x, z in zip(self.xs, self.zs)))
+
+    def product(self, i: int, j: int) -> int:
+        """Symplectic product of rows i and j (1-based)."""
+        return symplectic_product(self.field, (self.xs[i - 1], self.zs[i - 1]),
+                                  (self.xs[j - 1], self.zs[j - 1]))
+
+    def apply(self, op) -> "_Tableau":
+        return self.row_op(op) if isinstance(op, RowOp) else self.clifford(op)
+
+    def row_op(self, op: RowOp) -> "_Tableau":
+        """Generating-set operation; the generated group is unchanged."""
+        f, r = self.field, len(self.xs)
+        scl = f.scale if f.m > 1 else f.mul   # scalars lie in the prime subfield
+        if op.kind == SWAP:
+            i, j = _row_index(op.dest, r), _row_index(op.src, r)
+            for side in (self.xs, self.zs):
+                side[i], side[j] = side[j], side[i]
+        elif op.kind == ADDMUL:
+            d, s = _row_index(op.dest, r), _row_index(op.src, r)
+            if d == s:
+                raise IndexOutOfRangeError("dest and src must differ")
+            _scalar_domain_check(f, op.scalar)
+            for side in (self.xs, self.zs):
+                side[d] = [f.add(a, scl(op.scalar, b)) for a, b in zip(side[d], side[s])]
+        elif op.kind == SCALE:
+            i = _row_index(op.dest, r)
+            _scalar_domain_check(f, op.scalar)
+            if op.scalar % f.p == 0:
+                raise BadScalarError("SCALE scalar must be nonzero")
+            for side in (self.xs, self.zs):
+                side[i] = [scl(op.scalar, v) for v in side[i]]
+        else:
+            raise ValueError(f"unknown row op kind {op.kind!r}")
+        return self
+
+    def clifford(self, op: CliffordOp) -> "_Tableau":
+        """Column action of a Clifford gate on every row."""
+        f, xs, zs = self.field, self.xs, self.zs
+        t = _col_index(op.target, self.n)
+        if op.kind == DFT:
+            for x, z in zip(xs, zs):
+                x[t], z[t] = z[t], f.neg(x[t])
+        elif op.kind == MUL:
+            g = _gamma_check(f, op)
+            if g == 0:
+                raise NonInvertibleGammaError("MUL gamma must be invertible")
+            ginv = f.inv(g)
+            for x, z in zip(xs, zs):
+                x[t] = f.mul(ginv, x[t])
+                z[t] = f.mul(g, z[t])
+        elif op.kind == PHASE:
+            g = _gamma_check(f, op)
+            for x, z in zip(xs, zs):
+                z[t] = f.add(z[t], f.mul(g, x[t]))
+        elif op.kind == ADD:
+            c = _col_index(op.control, self.n)
+            if c == t:
+                raise IndexOutOfRangeError("ADD control and target must differ")
+            for x, z in zip(xs, zs):
+                x[t] = f.add(x[t], x[c])
+                z[c] = f.sub(z[c], z[t])
+        else:
+            raise ValueError(f"unknown clifford op kind {op.kind!r}")
+        return self
+
+
+# ---------------------------------------------------------------------------
+# single-op and multi-op entry points
+# ---------------------------------------------------------------------------
+
 def row_add(m: CheckMatrix, dest: int, src: int, scalar: int) -> CheckMatrix:
     """dest <- dest + scalar * src; the generated group is unchanged."""
-    m._check_row_index(dest)
-    m._check_row_index(src)
-    if dest == src:
-        raise IndexOutOfRangeError("dest and src must differ")
-    _scalar_domain_check(m.field, scalar)
-    f = m.field
-    xd, zd = m.rows[dest - 1]
-    xs, zs = m.rows[src - 1]
-    new = (tuple(f.add(a, f.scale(scalar, b) if f.m > 1 else f.mul(scalar, b))
-                 for a, b in zip(xd, xs)),
-           tuple(f.add(a, f.scale(scalar, b) if f.m > 1 else f.mul(scalar, b))
-                 for a, b in zip(zd, zs)))
-    rows = list(m.rows)
-    rows[dest - 1] = new
-    return CheckMatrix(f, m.n, tuple(rows))
+    return _Tableau(m).row_op(row_op_addmul(dest, src, scalar)).freeze()
 
 
 def row_swap(m: CheckMatrix, i: int, j: int) -> CheckMatrix:
-    m._check_row_index(i)
-    m._check_row_index(j)
-    rows = list(m.rows)
-    rows[i - 1], rows[j - 1] = rows[j - 1], rows[i - 1]
-    return CheckMatrix(m.field, m.n, tuple(rows))
+    return _Tableau(m).row_op(row_op_swap(i, j)).freeze()
 
 
 def row_scale(m: CheckMatrix, i: int, scalar: int) -> CheckMatrix:
     """i <- scalar * i with scalar invertible (generator power)."""
-    m._check_row_index(i)
-    _scalar_domain_check(m.field, scalar)
-    if scalar % m.field.p == 0:
-        raise BadScalarError("SCALE scalar must be nonzero")
-    f = m.field
-    x, z = m.rows[i - 1]
-    scl = (lambda v: f.scale(scalar, v)) if f.m > 1 else (lambda v: f.mul(scalar, v))
-    rows = list(m.rows)
-    rows[i - 1] = (tuple(scl(v) for v in x), tuple(scl(v) for v in z))
-    return CheckMatrix(f, m.n, tuple(rows))
+    return _Tableau(m).row_op(row_op_scale(i, scalar)).freeze()
 
 
 def apply_row_op(m: CheckMatrix, op: RowOp) -> CheckMatrix:
-    if op.kind == SWAP:
-        return row_swap(m, op.dest, op.src)
-    if op.kind == ADDMUL:
-        return row_add(m, op.dest, op.src, op.scalar)
-    if op.kind == SCALE:
-        return row_scale(m, op.dest, op.scalar)
-    raise ValueError(f"unknown row op kind {op.kind!r}")
+    return _Tableau(m).row_op(op).freeze()
 
-
-# ---------------------------------------------------------------------------
-# Clifford column operations
-# ---------------------------------------------------------------------------
 
 def apply_clifford(m: CheckMatrix, op: CliffordOp) -> CheckMatrix:
     """Column action of a Clifford gate on every row."""
-    f = m.field
-    t = op.target
-    m._check_col_index(t)
-    ti = t - 1
-    rows = []
-    if op.kind == DFT:
-        for x, z in m.rows:
-            xl, zl = list(x), list(z)
-            xl[ti], zl[ti] = zl[ti], f.neg(xl[ti])
-            rows.append((tuple(xl), tuple(zl)))
-    elif op.kind == MUL:
-        g = op.gamma
-        if not isinstance(g, int) or not 0 <= g < f.q:
-            raise NonInvertibleGammaError(f"MUL gamma {g!r} is not a field element")
-        if g == 0:
-            raise NonInvertibleGammaError("MUL gamma must be invertible")
-        ginv = f.inv(g)
-        for x, z in m.rows:
-            xl, zl = list(x), list(z)
-            xl[ti] = f.mul(ginv, xl[ti])
-            zl[ti] = f.mul(g, zl[ti])
-            rows.append((tuple(xl), tuple(zl)))
-    elif op.kind == PHASE:
-        g = op.gamma
-        if not isinstance(g, int) or not 0 <= g < f.q:
-            raise NonInvertibleGammaError(f"PHASE gamma {g!r} is not a field element")
-        for x, z in m.rows:
-            xl, zl = list(x), list(z)
-            zl[ti] = f.add(zl[ti], f.mul(g, xl[ti]))
-            rows.append((tuple(xl), tuple(zl)))
-    elif op.kind == ADD:
-        c = op.control
-        m._check_col_index(c)
-        if c == t:
-            raise IndexOutOfRangeError("ADD control and target must differ")
-        ci = c - 1
-        for x, z in m.rows:
-            xl, zl = list(x), list(z)
-            xl[ti] = f.add(xl[ti], xl[ci])
-            zl[ci] = f.sub(zl[ci], zl[ti])
-            rows.append((tuple(xl), tuple(zl)))
-    else:
-        raise ValueError(f"unknown clifford op kind {op.kind!r}")
-    return CheckMatrix(f, m.n, tuple(rows))
+    return _Tableau(m).clifford(op).freeze()
 
 
 def apply_ops(m: CheckMatrix, ops) -> CheckMatrix:
     """Fold a mixed sequence of RowOp / CliffordOp over the matrix."""
+    work = _Tableau(m)
     for op in ops:
-        m = apply_row_op(m, op) if isinstance(op, RowOp) else apply_clifford(m, op)
-    return m
+        work.apply(op)
+    return work.freeze()
 
 
 def replay_steps(m: CheckMatrix, ops):
     """Yield (op, matrix-after-op) pairs; useful for invariant auditing."""
+    work = _Tableau(m)
     for op in ops:
-        m = apply_row_op(m, op) if isinstance(op, RowOp) else apply_clifford(m, op)
-        yield op, m
+        yield op, work.apply(op).freeze()
 
 
 # ---------------------------------------------------------------------------
@@ -365,67 +401,87 @@ class _TokenStream:
         return tok
 
     def next_int(self, what):
+        """A non-negative integer written in ASCII digits only."""
         tok, ln, col = self.next(what)
-        try:
-            return int(tok), ln, col
-        except ValueError:
-            raise ParseError(f"expected {what}, got {tok!r}", line=ln, column=col) from None
+        if tok.isascii() and tok.isdigit():
+            try:
+                return int(tok), ln, col
+            except ValueError:  # more digits than int() converts
+                pass
+        raise ParseError(f"expected {what}, got {tok!r}", line=ln, column=col)
+
+    def finish(self):
+        if not self.exhausted:
+            tok, ln, col = self.next("")
+            raise ParseError(f"trailing token {tok!r}", line=ln, column=col)
 
     @property
     def exhausted(self):
         return self.pos >= len(self.toks)
 
 
-def parse_check_matrix(text: str) -> CheckMatrix:
-    ts = _TokenStream(text)
-    magic, ln, col = ts.next("EACM header")
-    if magic != "EACM":
-        raise ParseError(f"expected 'EACM' magic, got {magic!r}", line=ln, column=col)
-    p, _, _ = ts.next_int("p")
+def _read_header(ts: _TokenStream, magics=("EACM",)):
+    """Read `MAGIC p m n r` and, for m > 1, the `poly` line.
+
+    Returns (magic, field, n, r).  The documented scope q = p^m <= 2^16 is
+    enforced before the field is built, bounding p and m first, so an
+    out-of-scope header fails at once instead of running a primality or
+    irreducibility search.
+    """
+    magic, ln, col = ts.next(" or ".join(magics) + " header")
+    if magic not in magics:
+        names = " or ".join(repr(mg) for mg in magics)
+        raise ParseError(f"expected {names} magic, got {magic!r}", line=ln, column=col)
+    p, pln, pcol = ts.next_int("p")
     m, _, _ = ts.next_int("m")
+    if p > MAX_Q or m > 16 or p ** m > MAX_Q:  # p >= 2 in scope, so m <= 16
+        raise ParseError(f"field GF({p}^{m}) is outside the supported scope q <= {MAX_Q}",
+                         line=pln, column=pcol)
     n, ln, col = ts.next_int("n")
     if n < 1:
         raise ParseError("n must be >= 1", line=ln, column=col)
-    r, ln, col = ts.next_int("r")
-    if r < 0:
-        raise ParseError("r must be >= 0", line=ln, column=col)
+    r, _, _ = ts.next_int("r")
     modulus = None
     if m > 1:
         tok, ln, col = ts.next("'poly' line")
         if tok != "poly":
             raise ParseError(f"expected 'poly' for m > 1, got {tok!r}", line=ln, column=col)
-        modulus = []
-        for _ in range(m + 1):
-            v, _, _ = ts.next_int("polynomial coefficient")
-            modulus.append(v)
+        modulus = [ts.next_int("polynomial coefficient")[0] for _ in range(m + 1)]
     try:
         field = make_field(p, m, modulus)
     except (EaqecError, ValueError) as exc:
         raise ParseError(f"invalid field declaration: {exc}") from exc
+    return magic, field, n, r
+
+
+def _read_vector(ts: _TokenStream, field: GaloisField, n: int) -> Tuple[int, ...]:
+    out = []
+    for _ in range(n):
+        v, ln, col = ts.next_int("field element")
+        if v >= field.q:
+            raise EntryOutOfRangeError(
+                f"entry {v} outside 0..{field.q - 1}", line=ln, column=col)
+        out.append(v)
+    return tuple(out)
+
+
+def _read_rows(ts: _TokenStream, field: GaloisField, n: int, r: int):
+    """r check-matrix rows `x | z`, then the end of input."""
     rows = []
     for _ in range(r):
-        x = []
-        for _ in range(n):
-            v, ln, col = ts.next_int("field element")
-            if not 0 <= v < field.q:
-                raise EntryOutOfRangeError(
-                    f"entry {v} outside 0..{field.q - 1}", line=ln, column=col)
-            x.append(v)
+        x = _read_vector(ts, field, n)
         bar, ln, col = ts.next("'|' separator")
         if bar != "|":
             raise ParseError(f"expected '|', got {bar!r}", line=ln, column=col)
-        z = []
-        for _ in range(n):
-            v, ln, col = ts.next_int("field element")
-            if not 0 <= v < field.q:
-                raise EntryOutOfRangeError(
-                    f"entry {v} outside 0..{field.q - 1}", line=ln, column=col)
-            z.append(v)
-        rows.append((tuple(x), tuple(z)))
-    if not ts.exhausted:
-        tok, ln, col = ts.next("")
-        raise ParseError(f"trailing token {tok!r}", line=ln, column=col)
+        rows.append((x, _read_vector(ts, field, n)))
+    ts.finish()
     return CheckMatrix(field, n, tuple(rows))
+
+
+def parse_check_matrix(text: str) -> CheckMatrix:
+    ts = _TokenStream(text)
+    _, field, n, r = _read_header(ts)
+    return _read_rows(ts, field, n, r)
 
 
 def serialize_check_matrix(m: CheckMatrix) -> str:

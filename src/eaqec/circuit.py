@@ -26,14 +26,16 @@ from typing import Tuple
 from .checkmatrix import (
     ADD,
     DFT,
+    MAX_Q,
     MUL,
     PHASE,
     CheckMatrix,
     CliffordOp,
-    apply_clifford,
+    apply_ops,
     row_space_equal,
 )
 from .errors import ParseError, ReductionFailedError
+from .field import is_prime
 from .reduction import ReductionResult, augmented_source, inverse_ops
 
 
@@ -47,14 +49,14 @@ class Circuit:
 
     def __post_init__(self):
         for g in self.gates:
-            _validate_gate(g, self.n)
+            _validate_gate(g, self.n, self.p ** self.m)
 
     @property
     def gate_count(self) -> int:
         return len(self.gates)
 
 
-def _validate_gate(g: CliffordOp, n: int):
+def _validate_gate(g: CliffordOp, n: int, q: int):
     indices = [g.target] + ([g.control] if g.kind == ADD else [])
     for i in indices:
         if not isinstance(i, int) or not 1 <= i <= n:
@@ -65,6 +67,8 @@ def _validate_gate(g: CliffordOp, n: int):
         raise ParseError(f"gate {g} needs an invertible gamma")
     if g.kind == PHASE and g.gamma is None:
         raise ParseError(f"gate {g} needs a gamma")
+    if g.gamma is not None and not (isinstance(g.gamma, int) and 0 <= g.gamma < q):
+        raise ParseError(f"gate {g} has gamma outside the field 0..{q - 1}")
     if g.kind not in (DFT, MUL, PHASE, ADD):
         raise ParseError(f"unknown gate kind {g.kind!r}")
 
@@ -86,9 +90,7 @@ def synthesize_encoding_circuit(result: ReductionResult) -> Circuit:
 
 def apply_circuit(circuit: Circuit, matrix: CheckMatrix) -> CheckMatrix:
     """Replay the circuit's column actions (receiver columns untouched)."""
-    for g in circuit.gates:
-        matrix = apply_clifford(matrix, g)
-    return matrix
+    return apply_ops(matrix, circuit.gates)
 
 
 def verify_encoding_circuit(result: ReductionResult, circuit: Circuit) -> bool:
@@ -117,6 +119,13 @@ def circuit_to_json(circuit: Circuit) -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
+def _json_int(obj: dict, key: str, where: str) -> int:
+    v = obj.get(key)
+    if type(v) is not int:
+        raise ParseError(f"{where}: {key!r} must be an integer, got {v!r}")
+    return v
+
+
 def circuit_from_json(text: str) -> Circuit:
     try:
         doc = json.loads(text)
@@ -124,22 +133,27 @@ def circuit_from_json(text: str) -> Circuit:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise ParseError("expected a version-1 circuit document")
-    try:
-        p, m, n, c = (int(doc[k]) for k in ("p", "m", "n", "c"))
-        raw_gates = doc["gates"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or malformed header field: {exc}") from None
+    p, m, n, c = (_json_int(doc, k, "header") for k in ("p", "m", "n", "c"))
+    if m != 1 or p > MAX_Q or not is_prime(p):
+        raise ParseError(f"circuits act over a prime field GF(p) with p <= {MAX_Q}; "
+                         f"got p={p}, m={m}")
+    raw_gates = doc.get("gates")
+    if not isinstance(raw_gates, list):
+        raise ParseError(f"'gates' must be a list, got {raw_gates!r}")
     gates = []
-    for entry in raw_gates:
+    for i, entry in enumerate(raw_gates, start=1):
+        where = f"gate {i}"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where} is not an object: {entry!r}")
         kind = entry.get("g")
-        if kind == "DFT":
-            gates.append(CliffordOp(DFT, int(entry["t"])))
-        elif kind == "MUL":
-            gates.append(CliffordOp(MUL, int(entry["t"]), gamma=int(entry["gamma"])))
-        elif kind == "PHASE":
-            gates.append(CliffordOp(PHASE, int(entry["t"]), gamma=int(entry["gamma"])))
-        elif kind == "ADD":
-            gates.append(CliffordOp(ADD, int(entry["tgt"]), control=int(entry["ctl"])))
+        if kind == ADD:
+            gates.append(CliffordOp(ADD, _json_int(entry, "tgt", where),
+                                    control=_json_int(entry, "ctl", where)))
+        elif kind == DFT:
+            gates.append(CliffordOp(DFT, _json_int(entry, "t", where)))
+        elif kind in (MUL, PHASE):
+            gates.append(CliffordOp(kind, _json_int(entry, "t", where),
+                                    gamma=_json_int(entry, "gamma", where)))
         else:
             raise ParseError(f"unknown gate kind {kind!r}")
     return Circuit(p=p, m=m, n=n, c=c, gates=tuple(gates))

@@ -16,17 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .checkmatrix import CheckMatrix
+from .checkmatrix import CheckMatrix, _read_header, _read_rows, _read_vector, _TokenStream
 from .errors import (
     BadGroupingError,
-    EaqecError,
     EmptyMatrixError,
     ErrorOnBobQuditError,
     NonPrimeFieldError,
     ParseError,
     TooLargeError,
 )
-from .field import GaloisField, make_field
+from .field import GaloisField
 from .linalg import in_span_mod_p
 from .pauli import Row, symplectic_product
 from .reduction import ReductionResult, encoded_generators
@@ -211,45 +210,13 @@ def css_import(field: GaloisField, h_rows: Sequence[Sequence[int]]) -> CheckMatr
 
 def parse_classical(text: str) -> Tuple[GaloisField, List[Tuple[int, ...]]]:
     """Read a parity-check matrix from CLSC text (or EACM with a zero Z side)."""
-    from .checkmatrix import _TokenStream, parse_check_matrix
-
-    stripped_tokens = _TokenStream(text)
-    magic, ln, col = stripped_tokens.next("CLSC or EACM header")
+    ts = _TokenStream(text)
+    magic, field, n, r = _read_header(ts, ("CLSC", "EACM"))
     if magic == "EACM":
-        m = parse_check_matrix(text)
+        m = _read_rows(ts, field, n, r)
         if any(any(z) for _, z in m.rows):
             raise ParseError("classical input via EACM requires an all-zero Z side")
-        return m.field, [x for x, _ in m.rows]
-    if magic != "CLSC":
-        raise ParseError(f"expected 'CLSC' or 'EACM' magic, got {magic!r}",
-                         line=ln, column=col)
-    ts = stripped_tokens
-    p, _, _ = ts.next_int("p")
-    m_deg, _, _ = ts.next_int("m")
-    n, ln, col = ts.next_int("n")
-    if n < 1:
-        raise ParseError("n must be >= 1", line=ln, column=col)
-    r, _, _ = ts.next_int("r")
-    modulus = None
-    if m_deg > 1:
-        tok, ln, col = ts.next("'poly' line")
-        if tok != "poly":
-            raise ParseError(f"expected 'poly' for m > 1, got {tok!r}", line=ln, column=col)
-        modulus = [ts.next_int("polynomial coefficient")[0] for _ in range(m_deg + 1)]
-    try:
-        field = make_field(p, m_deg, modulus)
-    except (EaqecError, ValueError) as exc:
-        raise ParseError(f"invalid field declaration: {exc}") from exc
-    rows = []
-    for _ in range(r):
-        row = []
-        for _ in range(n):
-            v, ln, col = ts.next_int("field element")
-            if not 0 <= v < field.q:
-                raise ParseError(f"entry {v} outside 0..{field.q - 1}", line=ln, column=col)
-            row.append(v)
-        rows.append(tuple(row))
-    if not ts.exhausted:
-        tok, ln, col = ts.next("")
-        raise ParseError(f"trailing token {tok!r}", line=ln, column=col)
+        return field, [x for x, _ in m.rows]
+    rows = [_read_vector(ts, field, n) for _ in range(r)]
+    ts.finish()
     return field, rows

@@ -46,10 +46,9 @@ from .checkmatrix import (
     CheckMatrix,
     CliffordOp,
     RowOp,
+    _Tableau,
     add,
-    apply_clifford,
     apply_ops,
-    apply_row_op,
     dft,
     mul,
     phase,
@@ -114,24 +113,24 @@ def gram_matrix(m: CheckMatrix):
 
 
 class _Reducer:
-    """Single-use state machine; tracks the working matrix and the op log."""
+    """Single-use state machine; tracks the working tableau and the op log."""
 
     def __init__(self, matrix: CheckMatrix, mode: str):
         self.field = matrix.field
         self.p = matrix.field.p
         self.n = matrix.n
         self.mode = mode
-        self.work = matrix
+        self.work = _Tableau(matrix)
         self.ops = []
 
     # -- op emission (identity ops are skipped so logs stay minimal) --
 
     def row(self, op: RowOp):
-        self.work = apply_row_op(self.work, op)
+        self.work.row_op(op)
         self.ops.append(op)
 
     def gate(self, op: CliffordOp):
-        self.work = apply_clifford(self.work, op)
+        self.work.clifford(op)
         self.ops.append(op)
 
     def swap_rows(self, i, j):
@@ -147,10 +146,10 @@ class _Reducer:
             self.gate(add(ctl, tgt))
 
     def x(self, r, col):
-        return self.work.rows[r - 1][0][col - 1]
+        return self.work.xs[r - 1][col - 1]
 
     def z(self, r, col):
-        return self.work.rows[r - 1][1][col - 1]
+        return self.work.zs[r - 1][col - 1]
 
     def product(self, i, j):
         return self.work.product(i, j)
@@ -287,7 +286,7 @@ class _Reducer:
             t = c + (idx - 2 * c)
             self.make_unit_z_row(idx, t)
             self.eliminate_column(None, idx, t, idx + 1)
-        return self.work, self.ops, c
+        return self.work.freeze(), self.ops, c
 
 
 def _canonical_layout(field, n, c, a):
@@ -353,9 +352,8 @@ def augment_ebits(result: ReductionResult) -> CheckMatrix:
 # replay helpers
 # ---------------------------------------------------------------------------
 
-def replay(matrix: CheckMatrix, ops) -> CheckMatrix:
-    """Fold the op log forward; reproduces `canonical` from `source`."""
-    return apply_ops(matrix, ops)
+# Folding the op log forward over `source` reproduces `canonical`.
+replay = apply_ops
 
 
 def inverse_ops(ops, field):

@@ -265,3 +265,34 @@ def test_row_space_requires_same_space():
     other = CheckMatrix.from_rows(make_field(7), [((0,) * 4, (0,) * 4)], n=4)
     with pytest.raises(DimensionMismatchError):
         row_space_equal(m, other)
+
+
+# --- input boundary: integer tokens and field scope ---
+
+@pytest.mark.parametrize("text", [
+    "EACM 5 1 1_0 0\n",          # underscore separator
+    "EACM +5 1 1 0\n",           # explicit sign
+    "EACM ٣ 1 1 0\n",       # Arabic-Indic digit three
+    "EACM 5 1 1 1\n１ | 0\n",  # fullwidth digit one as an entry
+    "EACM 5 1 1 1\n-1 | 0\n",    # negative entry
+])
+def test_integer_tokens_are_ascii_digits_only(text):
+    with pytest.raises(ParseError):
+        parse_check_matrix(text)
+
+
+@pytest.mark.parametrize("header", [
+    "EACM 1000000000000000003 1 1 0",   # prime far outside q <= 2^16
+    "EACM 65537 1 1 0",                  # smallest prime above 2^16
+    "EACM 2 17 1 0",
+    "EACM 3 11 1 0",                     # 3^11 > 2^16
+    "EACM 2 100000000000000000000 1 0",
+])
+def test_field_outside_documented_scope_is_a_parse_error(header):
+    with pytest.raises(ParseError, match="outside the supported scope"):
+        parse_check_matrix(header + "\n")
+
+
+def test_field_at_scope_edge_parses():
+    m = parse_check_matrix("EACM 65521 1 1 1\n65520 | 1\n")   # largest prime below 2^16
+    assert m.field.q == 65521 and m.rows == (((65520,), (1,)),)

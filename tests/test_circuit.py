@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -153,3 +154,31 @@ def test_parse_bad_documents():
     with pytest.raises(ParseError):
         circuit_from_json('{"version": 1, "p": 5, "m": 1, "n": 2, "c": 0,'
                           ' "gates": [{"g": "NOPE", "t": 1}]}')
+
+
+def _doc(gates, p=5, m=1):
+    return json.dumps({"version": 1, "p": p, "m": m, "n": 2, "c": 0, "gates": gates})
+
+
+@pytest.mark.parametrize("text", [
+    _doc([3]),                                             # gate is not an object
+    _doc([{"g": "DFT"}]),                                  # no "t"
+    _doc(7),                                               # gates is not a list
+    _doc([{"g": "MUL", "t": 1, "gamma": 99}], p=4),        # p = 4 is not prime
+    _doc([], p=4),
+    _doc([], p=1000000000000000003),                       # prime, but out of scope
+    _doc([], p=2, m=2),                                    # circuits are over GF(p)
+    _doc([{"g": "MUL", "t": 1, "gamma": 5}]),              # gamma outside 0..p-1
+    _doc([{"g": "PHASE", "t": 1, "gamma": -1}]),
+    _doc([{"g": "PHASE", "t": 1, "gamma": "2"}]),
+    _doc([{"g": "PHASE", "t": 1}]),
+    _doc([{"g": "ADD", "ctl": 1}]),
+    _doc([{"g": "ADD", "ctl": 1, "tgt": 2.0}]),
+    _doc([{"t": 1}]),
+    '{"version": 1, "p": "5", "m": 1, "n": 2, "c": 0, "gates": []}',
+    '{"version": 1, "p": 5, "m": 1, "n": 2, "gates": []}',
+    '[]',
+])
+def test_circuit_from_json_raises_only_parse_error(text):
+    with pytest.raises(ParseError):
+        circuit_from_json(text)

@@ -145,3 +145,23 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "[[4,1;1]]_5" in proc.stdout
+
+
+def test_out_of_scope_prime_exits_2_at_once(tmp_path):
+    # p far above q <= 2^16 used to send is_prime into trial division for hours
+    path = tmp_path / "huge.eacm"
+    path.write_text("EACM 1000000000000000003 1 1 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "eaqec.cli", "reduce", str(path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "outside the supported scope" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("header", ["EACM 5 1 1_0 0", "EACM +5 1 1 0", "EACM ٣ 1 1 0"])
+def test_non_ascii_digit_tokens_exit_2(tmp_path, capsys, header):
+    path = tmp_path / "bad.eacm"
+    path.write_text(header + "\n", encoding="utf-8")
+    assert run(["reduce", path]) == 2
+    assert "input error" in capsys.readouterr().err

@@ -277,3 +277,15 @@ def test_parse_classical_rejects_nonzero_z_side():
     text = "EACM 2 1 2 1\n1 0 | 1 0\n"
     with pytest.raises(ParseError):
         parse_classical(text)
+
+
+@pytest.mark.parametrize("text", [
+    "CLSC 1000000000000000003 1 1 1\n1\n",
+    "CLSC 2 1 1_0 1\n1 0\n",
+    "CLSC 2 1 2 1\n1 +1\n",
+    "CLSC 2 1 2 1\n1 2\n",
+    "CLSC 2 1 2 1\n1 0 1\n",
+])
+def test_parse_classical_boundary_errors(text):
+    with pytest.raises(ParseError):
+        parse_classical(text)
