@@ -32,7 +32,6 @@ from .circuit import (
     apply_circuit,
     circuit_from_json,
     circuit_to_json,
-    invert_oplog,
     synthesize_encoding_circuit,
     verify_encoding_circuit,
 )
@@ -60,6 +59,7 @@ from .reduction import (
     encoded_generators,
     gram_matrix,
     inverse_ops,
+    invert_oplog,
     normalize_pair,
     reduce_matrix,
     replay,
@@ -71,7 +71,7 @@ __all__ = [
     "apply_row_op", "dft", "mul", "parse_check_matrix", "phase", "row_add", "row_scale",
     "row_space_equal", "row_swap", "serialize_check_matrix",
     # circuit
-    "Circuit", "apply_circuit", "circuit_from_json", "circuit_to_json", "invert_oplog",
+    "Circuit", "apply_circuit", "circuit_from_json", "circuit_to_json",
     "synthesize_encoding_circuit", "verify_encoding_circuit",
     # eacode
     "EACode", "alice_error", "build_code", "check_eq4", "css_import", "in_centralizer",
@@ -81,6 +81,6 @@ __all__ = [
     "symplectic_product",
     # reduction
     "NORMALIZED", "STRICT", "ReductionResult", "augment_ebits", "augmented_source",
-    "code_params", "encoded_generators", "gram_matrix", "inverse_ops", "normalize_pair",
-    "reduce_matrix", "replay",
+    "code_params", "encoded_generators", "gram_matrix", "inverse_ops", "invert_oplog",
+    "normalize_pair", "reduce_matrix", "replay",
 ]

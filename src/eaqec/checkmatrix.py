@@ -24,7 +24,7 @@ Text format (bit-exact contract)::
     a1 .. an | b1 .. bn      # r such rows, entries in 0..q-1
 
 '#' starts a comment; tokens are whitespace-separated; integers are ASCII
-digits only; q = p^m must not exceed 2^16.
+digits only; q = p^m must not exceed 2^16, and n, r must not exceed 4096.
 """
 
 from __future__ import annotations
@@ -54,11 +54,13 @@ SWAP = "SWAP"
 ADDMUL = "ADDMUL"
 SCALE = "SCALE"
 
-# documented scope of the field size q = p^m; parsing enforces it
+# documented scope of the field size q = p^m and of the qudit and row
+# counts n, r; parsing enforces both
 MAX_Q = 2 ** 16
+MAX_N = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CliffordOp:
     """A column operation; `target` (and `control` for ADD) are 1-based qudits."""
 
@@ -91,7 +93,7 @@ def add(control: int, target: int) -> CliffordOp:
     return CliffordOp(ADD, target, control=control)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RowOp:
     """A generating-set operation; row indices are 1-based."""
 
@@ -426,7 +428,8 @@ def _read_header(ts: _TokenStream, magics=("EACM",)):
     Returns (magic, field, n, r).  The documented scope q = p^m <= 2^16 is
     enforced before the field is built, bounding p and m first, so an
     out-of-scope header fails at once instead of running a primality or
-    irreducibility search.
+    irreducibility search; n, r <= 4096 is enforced before anything is
+    sized by them.
     """
     magic, ln, col = ts.next(" or ".join(magics) + " header")
     if magic not in magics:
@@ -438,9 +441,11 @@ def _read_header(ts: _TokenStream, magics=("EACM",)):
         raise ParseError(f"field GF({p}^{m}) is outside the supported scope q <= {MAX_Q}",
                          line=pln, column=pcol)
     n, ln, col = ts.next_int("n")
-    if n < 1:
-        raise ParseError("n must be >= 1", line=ln, column=col)
-    r, _, _ = ts.next_int("r")
+    if not 1 <= n <= MAX_N:
+        raise ParseError(f"n must be in 1..{MAX_N}, got {n}", line=ln, column=col)
+    r, ln, col = ts.next_int("r")
+    if r > MAX_N:
+        raise ParseError(f"r must be at most {MAX_N}, got {r}", line=ln, column=col)
     modulus = None
     if m > 1:
         tok, ln, col = ts.next("'poly' line")

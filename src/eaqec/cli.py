@@ -149,8 +149,8 @@ def cmd_circuit(args) -> int:
     result = reduce_matrix(matrix, mode=args.mode)
     circuit = synthesize_encoding_circuit(result)
     if not verify_encoding_circuit(result, circuit):
-        print("circuit replay failed its row-space postcondition; not writing",
-              file=sys.stderr)
+        print("circuit failed its postcondition (receiver columns, sender row space, "
+              "abelian); not writing", file=sys.stderr)
         return EXIT_VERIFY
     payload = circuit_to_json(circuit)
     if args.output == "-":

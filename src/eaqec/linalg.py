@@ -42,6 +42,15 @@ def rank_mod_p(rows, p) -> int:
 
 
 def in_span_mod_p(rows, target, p) -> bool:
-    """True if target is an F_p-combination of rows."""
-    base = rank_mod_p(rows, p)
-    return rank_mod_p(list(rows) + [list(target)], p) == base
+    """True if target is an F_p-combination of rows.
+
+    One elimination: the target is reduced against the rows' reduced
+    echelon form and lies in their span iff nothing is left.
+    """
+    echelon, pivots = rref_mod_p(rows, p)
+    rest = [v % p for v in target]
+    for row, col in zip(echelon, pivots):
+        f = rest[col]
+        if f:
+            rest = [(a - f * b) % p for a, b in zip(rest, row)]
+    return not any(rest)

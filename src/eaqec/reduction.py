@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from .checkmatrix import (
@@ -72,6 +73,14 @@ NORMALIZED = "normalized"
 
 @dataclass(frozen=True)
 class ReductionResult:
+    """A reduction and the encoding derived from it.
+
+    `encoding_gates` and `encoded` are computed on first use and then kept
+    (the dataclass keeps its `__dict__` for them), so a plain reduction pays
+    for no replay and an encoding pays for exactly one.  Both are immutable,
+    so a result stays shareable.
+    """
+
     source: CheckMatrix
     canonical: CheckMatrix
     oplog: Tuple
@@ -80,6 +89,16 @@ class ReductionResult:
     k: int
     mode: str
     augmented: CheckMatrix
+
+    @cached_property
+    def encoding_gates(self) -> Tuple[CliffordOp, ...]:
+        """The encoding circuit's gates: the log's column ops, inverted."""
+        return invert_oplog(self.oplog, self.source.field)
+
+    @cached_property
+    def encoded(self) -> CheckMatrix:
+        """The augmented canonical rows pushed through `encoding_gates`."""
+        return apply_ops(self.augmented, self.encoding_gates)
 
     @property
     def params(self):
@@ -357,7 +376,11 @@ replay = apply_ops
 
 
 def inverse_ops(ops, field):
-    """Inverted log in reverse order; gate set closed under repetition."""
+    """Inverted log in reverse order; gate set closed under repetition.
+
+    A DFT or ADD is undone by repeating the op itself, so those gates are
+    the log's own objects, not copies.
+    """
     out = []
     p = field.p
     for op in reversed(list(ops)):
@@ -371,16 +394,21 @@ def inverse_ops(ops, field):
             else:
                 raise ValueError(f"unknown row op {op!r}")
         elif op.kind == DFT:
-            out.extend([dft(op.target)] * 3)
+            out.extend([op] * 3)
         elif op.kind == MUL:
             out.append(mul(field.inv(op.gamma), op.target))
         elif op.kind == PHASE:
             out.append(phase(field.neg(op.gamma), op.target))
         elif op.kind == ADD:
-            out.extend([add(op.control, op.target)] * (p - 1))
+            out.extend([op] * (p - 1))
         else:
             raise ValueError(f"unknown op {op!r}")
     return out
+
+
+def invert_oplog(oplog, field) -> Tuple[CliffordOp, ...]:
+    """Reverse and invert the Clifford part of a reduction log."""
+    return tuple(inverse_ops([op for op in oplog if isinstance(op, CliffordOp)], field))
 
 
 def augmented_source(result: ReductionResult) -> CheckMatrix:
@@ -397,8 +425,6 @@ def encoded_generators(result: ReductionResult) -> CheckMatrix:
 
     Row order (and hence the pair / isotropic split) is preserved because
     row operations are excluded; the row space equals augmented_source's.
+    Computed once per result and shared (`ReductionResult.encoded`).
     """
-    gates = inverse_ops(
-        [op for op in result.oplog if isinstance(op, CliffordOp)],
-        result.source.field)
-    return apply_ops(result.augmented, gates)
+    return result.encoded

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -17,10 +18,25 @@ from eaqec import (
     synthesize_encoding_circuit,
     verify_encoding_circuit,
 )
-from eaqec.checkmatrix import add, dft, mul, phase, row_op_addmul, row_op_swap
-from eaqec.errors import ParseError
+from eaqec import build_code, reduction
+from eaqec import circuit as circuit_module
+from eaqec.checkmatrix import (
+    ADD,
+    DFT,
+    MUL,
+    PHASE,
+    add,
+    dft,
+    mul,
+    phase,
+    row_op_addmul,
+    row_op_swap,
+)
+from eaqec.errors import NotConstructibleError, ParseError
+from eaqec.linalg import rank_mod_p
 from eaqec.reduction import NORMALIZED, STRICT, augmented_source, inverse_ops
 from conftest import random_instance
+from test_golden import corpus
 
 
 def test_invert_phase_f5():
@@ -144,6 +160,8 @@ def test_gate_validation():
         Circuit(p=5, m=1, n=3, c=0, gates=(add(2, 2),))
     with pytest.raises(ParseError):
         Circuit(p=5, m=1, n=3, c=0, gates=(mul(0, 1),))
+    with pytest.raises(ParseError):  # JSON would write `true`, not a qudit
+        Circuit(p=5, m=1, n=3, c=0, gates=(dft(True),))
 
 
 def test_parse_bad_documents():
@@ -182,3 +200,172 @@ def _doc(gates, p=5, m=1):
 def test_circuit_from_json_raises_only_parse_error(text):
     with pytest.raises(ParseError):
         circuit_from_json(text)
+
+
+# --- the postcondition rejects what is not an encoding of the input ---
+
+def _full_rank(rng, p, n, r):
+    field = make_field(p)
+    while True:
+        rows = [(tuple(rng.randrange(p) for _ in range(n)),
+                 tuple(rng.randrange(p) for _ in range(n))) for _ in range(r)]
+        if rank_mod_p([list(x) + list(z) for x, z in rows], p) == r:
+            return CheckMatrix.from_rows(field, rows, n=n)
+
+
+def _tampered(circuit, gates):
+    return Circuit(p=circuit.p, m=circuit.m, n=circuit.n, c=circuit.c, gates=tuple(gates))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_postcondition_rejects_tampered_circuits(p):
+    rng = random.Random(700 + p)
+    n, r = 6, 6
+    res = reduce_matrix(_full_rank(rng, p, n, r), NORMALIZED)
+    circuit = synthesize_encoding_circuit(res)
+    gates = list(circuit.gates)
+    assert verify_encoding_circuit(res, circuit)
+
+    mid = len(gates) // 2
+    assert not verify_encoding_circuit(res, _tampered(circuit, gates[:mid] + gates[mid + 1:]))
+
+    # the last one: early gates may act on the canonical frame's ancilla
+    # qudits, where MUL only rescales a generator and leaves the group as it is
+    i = max(i for i, g in enumerate(gates) if g.kind in (MUL, PHASE))
+    g = gates[i]
+    other = (g.gamma * 2) % p if g.kind == MUL else (g.gamma + 1) % p
+    changed = (mul if g.kind == MUL else phase)(other, g.target)
+    assert not verify_encoding_circuit(res, _tampered(circuit, gates[:i] + [changed] + gates[i + 1:]))
+
+    assert not verify_encoding_circuit(res, _tampered(circuit, gates + [add(1, 2)]))
+
+    while True:
+        twin = reduce_matrix(_full_rank(rng, p, n, r), NORMALIZED)
+        if twin.c == res.c and not row_space_equal(twin.source, res.source):
+            break
+    foreign = synthesize_encoding_circuit(twin)
+    assert verify_encoding_circuit(twin, foreign)
+    assert not verify_encoding_circuit(res, foreign)
+
+    parsed = circuit_from_json(circuit_to_json(circuit))
+    assert parsed.gates is not res.encoding_gates  # takes the replay path
+    assert verify_encoding_circuit(res, parsed)
+
+
+def test_postcondition_catches_a_wrong_gate_inverse(monkeypatch):
+    # PHASE(g) left uninverted: a check that compares two replays of the same
+    # inverted log cannot see this, the one anchored on the input does
+    real = reduction.inverse_ops
+
+    def uninverted_phase(ops, field):
+        return [phase(field.neg(g.gamma), g.target) if g.kind == PHASE else g
+                for g in real(ops, field)]
+
+    monkeypatch.setattr(reduction, "inverse_ops", uninverted_phase)
+    res = reduce_matrix(_full_rank(random.Random(75), 5, 6, 6), NORMALIZED)
+    circuit = synthesize_encoding_circuit(res)
+    assert any(g.kind == PHASE and g.gamma for g in circuit.gates)
+    assert row_space_equal(apply_circuit(circuit, res.augmented), augmented_source(res))
+    assert not verify_encoding_circuit(res, circuit)
+
+
+def test_circuit_header_must_match_the_result(f5_matrix):
+    res = reduce_matrix(f5_matrix, STRICT)
+    circuit = synthesize_encoding_circuit(res)
+    for field in ("n", "c"):
+        shifted = dict(p=circuit.p, m=circuit.m, n=circuit.n, c=circuit.c)
+        shifted[field] += 1
+        assert not verify_encoding_circuit(res, Circuit(gates=circuit.gates, **shifted))
+
+
+def test_encoding_is_replayed_once_and_shared(f5_matrix, monkeypatch):
+    res = reduce_matrix(f5_matrix, STRICT)
+    assert "encoded" not in vars(res)  # a plain reduction pays for no replay
+    circuit = synthesize_encoding_circuit(res)
+    assert circuit.gates is res.encoding_gates
+
+    def no_replay(*args):
+        raise AssertionError("a synthesized circuit must not be replayed again")
+
+    monkeypatch.setattr(circuit_module, "apply_circuit", no_replay)
+    assert verify_encoding_circuit(res, circuit)
+    assert build_code(res).augmented is res.encoded
+
+
+def test_postcondition_catches_a_wrong_ebit_augmentation():
+    # the Z partner of pair 1 gets +1 instead of p - 1 in its receiver column:
+    # the sender part still spans the input, but the set no longer commutes
+    res = reduce_matrix(_full_rank(random.Random(76), 5, 6, 6), NORMALIZED)
+    n, rows = res.source.n, list(res.augmented.rows)
+    x, z = rows[1]
+    rows[1] = (x, z[:n] + (1,) + z[n + 1:])
+    bad = dataclasses.replace(res, augmented=CheckMatrix(res.source.field, n + res.c, tuple(rows)))
+    assert not verify_encoding_circuit(bad, synthesize_encoding_circuit(bad))
+
+
+def test_postcondition_pins_the_receiver_columns():
+    # a receiver-side DFT keeps the set abelian and its sender part intact,
+    # but the ebit halves are no longer the ones the receiver holds
+    res = reduce_matrix(_full_rank(random.Random(77), 5, 6, 6), NORMALIZED)
+    assert res.c >= 1
+    moved = dataclasses.replace(res)
+    vars(moved)["encoded"] = apply_ops(res.encoded, [dft(res.source.n + 1)])
+    assert not verify_encoding_circuit(moved, synthesize_encoding_circuit(moved))
+
+
+def test_build_code_equals_circuit_replay_on_golden_corpus():
+    for _, matrix in corpus():
+        for mode in (STRICT, NORMALIZED):
+            try:
+                res = reduce_matrix(matrix, mode)
+            except NotConstructibleError:
+                continue
+            circuit = synthesize_encoding_circuit(res)
+            assert build_code(res).augmented == apply_circuit(circuit, res.augmented)
+            assert verify_encoding_circuit(res, circuit)
+
+
+# --- circuit_to_json writes exactly what json.dumps(indent=1) writes ---
+
+def _reference_json(circuit):
+    gates = []
+    for g in circuit.gates:
+        if g.kind == DFT:
+            gates.append({"g": "DFT", "t": g.target})
+        elif g.kind == ADD:
+            gates.append({"g": "ADD", "ctl": g.control, "tgt": g.target})
+        else:
+            gates.append({"g": g.kind, "t": g.target, "gamma": g.gamma})
+    doc = {"version": 1, "p": circuit.p, "m": circuit.m,
+           "n": circuit.n, "c": circuit.c, "gates": gates}
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def _random_circuit(rng):
+    p = rng.choice([2, 3, 5, 7, 11, 65521])
+    n = rng.randint(2, 150)
+    gates = []
+    for _ in range(rng.randrange(40)):
+        kind, t = rng.randrange(4), rng.randint(1, n)
+        if kind == 0:
+            gates.append(dft(t))
+        elif kind == 1:
+            gates.append(mul(rng.randrange(1, p), t))
+        elif kind == 2:
+            gates.append(phase(rng.randrange(p), t))
+        else:
+            gates.append(add(*rng.sample(range(1, n + 1), 2)))
+    return Circuit(p=p, m=1, n=n, c=rng.randrange(20), gates=tuple(gates))
+
+
+@pytest.mark.parametrize("circuit", [
+    Circuit(p=5, m=1, n=4, c=1, gates=()),
+    Circuit(p=7, m=1, n=12, c=0, gates=(dft(12),)),
+    Circuit(p=7, m=1, n=12, c=3, gates=(mul(6, 10),)),
+    Circuit(p=7, m=1, n=12, c=3, gates=(phase(0, 11),)),
+    Circuit(p=7, m=1, n=12, c=3, gates=(add(12, 9),)),
+] + [_random_circuit(random.Random(f"json:{i}")) for i in range(50)])
+def test_circuit_to_json_is_byte_identical_to_json_dumps(circuit):
+    text = circuit_to_json(circuit)
+    assert text == _reference_json(circuit)
+    assert circuit_from_json(text) == circuit

@@ -165,3 +165,30 @@ def test_non_ascii_digit_tokens_exit_2(tmp_path, capsys, header):
     path.write_text(header + "\n", encoding="utf-8")
     assert run(["reduce", path]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "EACM 2 1 3000000 0\n",        # used to allocate in proportion to n
+    "EACM 2 1 4097 0\n",
+    "EACM 2 1 3 4097\n",
+    "CLSC 2 1 4097 1\n",
+    "CLSC 2 1 3 4097\n",
+])
+def test_qudit_and_row_counts_are_bounded_at_parse_time(tmp_path, capsys, text):
+    path = tmp_path / "big.eacm"
+    path.write_text(text)
+    command = ["css", path] if text.startswith("CLSC") else ["syndrome", path, "--error", ""]
+    assert run(command) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "4096" in err
+
+
+def test_n_4096_is_still_in_scope(tmp_path, capsys):
+    eacm = tmp_path / "wide.eacm"
+    eacm.write_text("EACM 2 1 4096 0\n")
+    assert run(["syndrome", eacm, "--error", ""]) == 0
+    assert capsys.readouterr().out.strip() == "syndrome:"
+    clsc = tmp_path / "wide.clsc"
+    clsc.write_text("CLSC 2 1 4096 1\n1" + " 0" * 4095 + "\n")
+    assert run(["css", clsc]) == 0
+    assert "[[4096,4095;1]]_2" in capsys.readouterr().out

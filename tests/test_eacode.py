@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from eaqec import (
@@ -23,7 +25,7 @@ from eaqec.errors import (
     ParseError,
     TooLargeError,
 )
-from eaqec.linalg import rank_mod_p
+from eaqec.linalg import in_span_mod_p, rank_mod_p
 from eaqec.reduction import NORMALIZED, STRICT, augmented_source, gram_matrix
 from conftest import fixture_text
 
@@ -129,6 +131,21 @@ def test_in_group_negative_case():
     gens = [((1, 0), (0, 0))]
     assert not in_group(f, ((0, 1), (0, 0)), gens)
     assert in_group(f, ((2, 0), (0, 0)), gens)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_in_span_matches_the_two_rank_definition(p):
+    rng = random.Random(4400 + p)
+    for _ in range(200):
+        width, count = rng.randint(1, 8), rng.randint(0, 6)
+        rows = [[rng.randrange(p) for _ in range(width)] for _ in range(count)]
+        if rows and rng.random() < 0.5:  # a target in the span, built on purpose
+            coeffs = [rng.randrange(p) for _ in rows]
+            target = [sum(c * r[i] for c, r in zip(coeffs, rows)) % p for i in range(width)]
+        else:
+            target = [rng.randrange(p) for _ in range(width)]
+        expected = rank_mod_p(rows + [target], p) == rank_mod_p(rows, p)
+        assert in_span_mod_p(rows, target, p) is expected
 
 
 def test_in_group_requires_prime_field():
