@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import mul
 from typing import Tuple
 
 from .checkmatrix import (
@@ -37,6 +36,7 @@ from .checkmatrix import (
 )
 from .errors import ParseError, ReductionFailedError
 from .field import is_prime
+from .pauli import rows_commute
 from .reduction import ReductionResult
 
 
@@ -49,7 +49,10 @@ class Circuit:
     gates: Tuple[CliffordOp, ...]
 
     def __post_init__(self):
-        for g in self.gates:
+        # each distinct gate object once: `inverse_ops` repeats one object
+        # up to p - 1 times.  Not by equality, since CliffordOp(DFT, True)
+        # equals CliffordOp(DFT, 1) and only the first is invalid.
+        for g in {id(g): g for g in self.gates}.values():
             _validate_gate(g, self.n, self.p ** self.m)
 
     @property
@@ -109,19 +112,7 @@ def verify_encoding_circuit(result: ReductionResult, circuit: Circuit) -> bool:
         if x[n:] != ax[n:] or z[n:] != az[n:]:
             return False
     sender = CheckMatrix(field, n, tuple((x[:n], z[:n]) for x, z in encoded.rows))
-    return row_space_equal(sender, result.source) and _abelian(encoded)
-
-
-def _abelian(m: CheckMatrix) -> bool:
-    """Every pairwise symplectic product vanishes; prime fields only.
-
-    One integer dot product per ordered pair of rows: `symplectic_table`
-    makes field calls per entry and is about seven times slower here.
-    """
-    p, rows = m.field.p, m.rows
-    xz = [[sum(map(mul, x, z)) for _, z in rows] for x, _ in rows]
-    return all((xz[i][j] - xz[j][i]) % p == 0
-               for i in range(len(rows)) for j in range(i + 1, len(rows)))
+    return row_space_equal(sender, result.source) and rows_commute(field.p, encoded.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .checkmatrix import (
-    CheckMatrix,
-    CliffordOp,
-    RowOp,
-    apply_clifford,
-    parse_check_matrix,
-    replay_steps,
-    row_space_equal,
-)
+from .audit import Verdict, audit_random_ops, audit_reduction
+from .checkmatrix import CliffordOp, RowOp, parse_check_matrix
 from .circuit import (
     circuit_to_json,
     synthesize_encoding_circuit,
@@ -63,35 +56,15 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _verify_result(result: ReductionResult) -> dict:
-    """Replay soundness, per-step invariants and augmented abelianness."""
-    source = result.source
-    verdicts = {"replay": True, "row_space": True, "symplectic": True, "abelian": True}
-    prev = source
-    for op, cur in replay_steps(source, result.oplog):
-        if isinstance(op, RowOp):
-            if not row_space_equal(prev, cur):
-                verdicts["row_space"] = False
-        else:
-            if prev.symplectic_table() != cur.symplectic_table():
-                verdicts["symplectic"] = False
-        prev = cur
-    verdicts["replay"] = prev.rows == result.canonical.rows
-    aug = result.augmented
-    verdicts["abelian"] = all(
-        aug.product(i, j) == 0
-        for i in range(1, aug.row_count + 1)
-        for j in range(i + 1, aug.row_count + 1))
-    return verdicts
-
-
 def _report(result: ReductionResult, digest: str, verdicts: dict) -> dict:
+    """The `reduce` report; `verdicts` maps names to `Verdict`s, and a
+    `failures` entry locating each failed one is present only on failure."""
     ops = result.oplog
     kinds = {}
     for op in ops:
         key = op.kind
         kinds[key] = kinds.get(key, 0) + 1
-    return {
+    report = {
         "input_digest": digest,
         "mode": result.mode,
         "params": result.params,
@@ -104,8 +77,13 @@ def _report(result: ReductionResult, digest: str, verdicts: dict) -> dict:
             "clifford_ops": sum(1 for op in ops if isinstance(op, CliffordOp)),
             "by_kind": kinds,
         },
-        "verdicts": verdicts,
+        "verdicts": {name: v.ok for name, v in verdicts.items()},
     }
+    failures = {name: {"index": v.index, "op": v.op, "reason": v.reason}
+                for name, v in verdicts.items() if not v}
+    if failures:
+        report["failures"] = failures
+    return report
 
 
 def _print_report(report: dict, as_json: bool):
@@ -124,19 +102,24 @@ def _print_report(report: dict, as_json: bool):
     verdicts = report["verdicts"]
     print("verified: " + "  ".join(f"{k}={'ok' if v else 'FAIL'}"
                                    for k, v in verdicts.items()))
+    for name, where in report.get("failures", {}).items():
+        print(f"{name}: {Verdict(False, **where)}")
 
 
 def cmd_reduce(args) -> int:
     text = _read(args.file)
     matrix = parse_check_matrix(text)
     result = reduce_matrix(matrix, mode=args.mode)
-    verdicts = _verify_result(result)
+    verdicts = audit_reduction(result)
     if args.oracle:
         field = matrix.field
         total = matrix.n + result.c
         if field.q ** total <= MAX_DIM:
             dim = stabilized_subspace_dim(field, list(result.augmented.rows), total)
-            verdicts["oracle"] = dim == field.q ** result.k
+            expected = field.q ** result.k
+            verdicts["oracle"] = Verdict.check(
+                dim == expected,
+                f"stabilized subspace dimension {dim}, expected q^k = {expected}")
         else:
             print(f"oracle skipped: dimension {field.q ** total} exceeds {MAX_DIM}",
                   file=sys.stderr)
@@ -166,44 +149,17 @@ def cmd_verify(args) -> int:
     text = _read(args.file)
     matrix = parse_check_matrix(text)
     result = reduce_matrix(matrix, mode=args.mode)
-    verdicts = _verify_result(result)
+    verdicts = audit_reduction(result)
     circuit = synthesize_encoding_circuit(result)
-    verdicts["circuit"] = verify_encoding_circuit(result, circuit)
+    verdicts["circuit"] = Verdict.check(
+        verify_encoding_circuit(result, circuit),
+        "postcondition failed (receiver columns, sender row space, abelian)")
     if args.random_checks:
-        verdicts["random_ops"] = _random_op_audit(matrix, args.random_checks,
+        verdicts["random_ops"] = audit_random_ops(matrix, args.random_checks,
                                                   random.Random(args.seed))
-    for name, ok in verdicts.items():
-        print(f"{name}: {'ok' if ok else 'FAIL'}")
+    for name, verdict in verdicts.items():
+        print(f"{name}: {verdict}")
     return EXIT_OK if all(verdicts.values()) else EXIT_VERIFY
-
-
-def _random_op_audit(matrix: CheckMatrix, count: int, rng: random.Random) -> bool:
-    """Random column ops must preserve products; random row ops the row space."""
-    from .checkmatrix import add, dft, mul, phase, row_add
-
-    f = matrix.field
-    cur = matrix
-    ok = True
-    for _ in range(count):
-        roll = rng.randrange(5)
-        if roll == 0 and matrix.n >= 2:
-            i, j = rng.sample(range(1, matrix.n + 1), 2)
-            op = add(i, j)
-        elif roll == 1:
-            op = mul(rng.randrange(1, f.q), rng.randrange(1, matrix.n + 1))
-        elif roll == 2:
-            op = phase(rng.randrange(f.q), rng.randrange(1, matrix.n + 1))
-        else:
-            op = dft(rng.randrange(1, matrix.n + 1))
-        nxt = apply_clifford(cur, op)
-        ok &= nxt.symplectic_table() == cur.symplectic_table()
-        cur = nxt
-        if cur.row_count >= 2:
-            d, s = rng.sample(range(1, cur.row_count + 1), 2)
-            nxt = row_add(cur, d, s, rng.randrange(f.p if f.m > 1 else f.q))
-            ok &= row_space_equal(cur, nxt)
-            cur = nxt
-    return ok
 
 
 def cmd_oracle(args) -> int:
@@ -293,6 +249,14 @@ def cmd_syndrome(args) -> int:
     return EXIT_OK
 
 
+def non_negative_int(text: str) -> int:
+    """A non-negative integer option value; anything else is a usage error (exit 2)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eaqec",
@@ -320,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suite on a reduction")
     p.add_argument("file")
     add_mode(p, default=NORMALIZED)
-    p.add_argument("--random-checks", type=int, default=0, metavar="N")
+    p.add_argument("--random-checks", type=non_negative_int, default=0, metavar="N")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

@@ -17,6 +17,7 @@ g*h = w^product(h,g) h*g for the normal-form multiplication below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Tuple
 
 from .errors import DimensionMismatchError
@@ -100,6 +101,23 @@ def symplectic_product(field: GaloisField, g, h) -> int:
 
 def commutes(field: GaloisField, g, h) -> bool:
     return symplectic_product(field, g, h) == 0
+
+
+def rows_commute(p: int, rows) -> bool:
+    """True iff every pair of (x, z) rows has symplectic product 0 mod the prime p.
+
+    Entries are integers read as elements of F_p (any representative).
+    The product of rows i < j is one integer dot product, of (x_i | -z_i)
+    with (z_j | x_j), reduced once: a field call per entry, as in
+    `symplectic_product`, is several times slower.
+    """
+    left = [[*x, *[-e for e in z]] for x, z in rows]
+    right = [[*z, *x] for x, z in rows]
+    for i, u in enumerate(left):
+        for v in right[i + 1:]:
+            if sum(map(mul, u, v)) % p:
+                return False
+    return True
 
 
 def pauli_weight(g) -> int:

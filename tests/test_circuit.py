@@ -369,3 +369,16 @@ def test_circuit_to_json_is_byte_identical_to_json_dumps(circuit):
     text = circuit_to_json(circuit)
     assert text == _reference_json(circuit)
     assert circuit_from_json(text) == circuit
+
+
+def test_each_distinct_gate_object_is_validated_once(f5_matrix, monkeypatch):
+    res = reduce_matrix(f5_matrix, STRICT)
+    validated = []
+    real = circuit_module._validate_gate
+    monkeypatch.setattr(circuit_module, "_validate_gate",
+                        lambda g, n, q: validated.append(g) or real(g, n, q))
+    circuit = synthesize_encoding_circuit(res)
+    assert len(validated) == len({id(g) for g in circuit.gates}) < circuit.gate_count
+    # equal but distinct objects are each validated: DFT(True) == DFT(1)
+    with pytest.raises(ParseError):
+        Circuit(p=5, m=1, n=3, c=0, gates=(dft(1), dft(True)))

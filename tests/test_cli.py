@@ -192,3 +192,13 @@ def test_n_4096_is_still_in_scope(tmp_path, capsys):
     clsc.write_text("CLSC 2 1 4096 1\n1" + " 0" * 4095 + "\n")
     assert run(["css", clsc]) == 0
     assert "[[4096,4095;1]]_2" in capsys.readouterr().out
+
+
+def test_negative_random_check_count_is_an_input_error(capsys, fixture_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", fixture_path("f5_pair.eacm"), "--random-checks", -3])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--random-checks" in captured.err and "non-negative" in captured.err
+    assert "random_ops" not in captured.out
+    assert run(["verify", fixture_path("f5_pair.eacm"), "--random-checks", 0]) == 0
