@@ -7,7 +7,7 @@ augmentation -> encoding-circuit synthesis, with every symbolic rule
 verifiable against a dense-unitary oracle at desk scale.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .checkmatrix import (
     CheckMatrix,
@@ -21,10 +21,7 @@ from .checkmatrix import (
     mul,
     parse_check_matrix,
     phase,
-    row_add,
-    row_scale,
     row_space_equal,
-    row_swap,
     serialize_check_matrix,
 )
 from .circuit import (
@@ -57,19 +54,17 @@ from .reduction import (
     augmented_source,
     code_params,
     encoded_generators,
-    gram_matrix,
     inverse_ops,
     invert_oplog,
     normalize_pair,
     reduce_matrix,
-    replay,
 )
 
 __all__ = [
     # checkmatrix
     "CheckMatrix", "CliffordOp", "RowOp", "add", "apply_clifford", "apply_ops",
-    "apply_row_op", "dft", "mul", "parse_check_matrix", "phase", "row_add", "row_scale",
-    "row_space_equal", "row_swap", "serialize_check_matrix",
+    "apply_row_op", "dft", "mul", "parse_check_matrix", "phase", "row_space_equal",
+    "serialize_check_matrix",
     # circuit
     "Circuit", "apply_circuit", "circuit_from_json", "circuit_to_json",
     "synthesize_encoding_circuit", "verify_encoding_circuit",
@@ -81,6 +76,6 @@ __all__ = [
     "symplectic_product",
     # reduction
     "NORMALIZED", "STRICT", "ReductionResult", "augment_ebits", "augmented_source",
-    "code_params", "encoded_generators", "gram_matrix", "inverse_ops", "invert_oplog",
-    "normalize_pair", "reduce_matrix", "replay",
+    "code_params", "encoded_generators", "inverse_ops", "invert_oplog",
+    "normalize_pair", "reduce_matrix",
 ]

@@ -179,12 +179,12 @@ def audit_reduction(result: ReductionResult) -> Dict[str, Verdict]:
     work = _prime_tableau(result.source)
     row_space, symplectic = _audit_ops(work, result.oplog)
     canonical = result.canonical.rows
-    replay = Verdict.check(work.xs == [list(x) for x, _ in canonical]
-                           and work.zs == [list(z) for _, z in canonical],
-                           "the replayed log does not give the canonical rows")
+    replayed = Verdict.check(work.xs == [list(x) for x, _ in canonical]
+                             and work.zs == [list(z) for _, z in canonical],
+                             "the replayed log does not give the canonical rows")
     abelian = Verdict.check(rows_commute(result.source.field.p, result.augmented.rows),
                             "the augmented generators do not commute")
-    return {"replay": replay, "row_space": row_space,
+    return {"replay": replayed, "row_space": row_space,
             "symplectic": symplectic, "abelian": abelian}
 
 

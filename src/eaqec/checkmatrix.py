@@ -303,21 +303,8 @@ class _Tableau:
 # single-op and multi-op entry points
 # ---------------------------------------------------------------------------
 
-def row_add(m: CheckMatrix, dest: int, src: int, scalar: int) -> CheckMatrix:
-    """dest <- dest + scalar * src; the generated group is unchanged."""
-    return _Tableau(m).row_op(row_op_addmul(dest, src, scalar)).freeze()
-
-
-def row_swap(m: CheckMatrix, i: int, j: int) -> CheckMatrix:
-    return _Tableau(m).row_op(row_op_swap(i, j)).freeze()
-
-
-def row_scale(m: CheckMatrix, i: int, scalar: int) -> CheckMatrix:
-    """i <- scalar * i with scalar invertible (generator power)."""
-    return _Tableau(m).row_op(row_op_scale(i, scalar)).freeze()
-
-
 def apply_row_op(m: CheckMatrix, op: RowOp) -> CheckMatrix:
+    """One generating-set operation; the generated group is unchanged."""
     return _Tableau(m).row_op(op).freeze()
 
 

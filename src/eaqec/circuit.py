@@ -34,7 +34,7 @@ from .checkmatrix import (
     apply_ops,
     row_space_equal,
 )
-from .errors import ParseError, ReductionFailedError
+from .errors import ParseError
 from .field import is_prime
 from .pauli import rows_commute
 from .reduction import ReductionResult
@@ -79,8 +79,6 @@ def _validate_gate(g: CliffordOp, n: int, q: int):
 
 def synthesize_encoding_circuit(result: ReductionResult) -> Circuit:
     """Gates taking the augmented canonical generators to the encoded ones."""
-    if result.canonical is None:  # defensive; reduce_matrix never yields this
-        raise ReductionFailedError("cannot synthesize a circuit without a reduction")
     field = result.source.field
     return Circuit(p=field.p, m=field.m, n=result.source.n, c=result.c,
                    gates=result.encoding_gates)
@@ -151,6 +149,10 @@ def circuit_from_json(text: str) -> Circuit:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # e.g. an integer literal longer than int() converts
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise ParseError("expected a version-1 circuit document")
     p, m, n, c = (_json_int(doc, k, "header") for k in ("p", "m", "n", "c"))

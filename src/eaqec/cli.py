@@ -27,7 +27,7 @@ from .circuit import (
     synthesize_encoding_circuit,
     verify_encoding_circuit,
 )
-from .eacode import build_code, css_import, parse_classical, syndrome
+from .eacode import alice_error, build_code, css_import, parse_classical, syndrome
 from .errors import (
     DependentRowsError,
     DimensionTooLargeError,
@@ -46,10 +46,16 @@ EXIT_INPUT = 2
 EXIT_NOT_CONSTRUCTIBLE = 3
 EXIT_VERIFY = 4
 
+# documented bound of `verify --random-checks`, so a run always ends
+MAX_RANDOM_CHECKS = 10 ** 6
+
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
 def _digest(text: str) -> str:
@@ -235,8 +241,7 @@ def _parse_error_spec(spec: str, code) -> tuple:
                 x[qudit - 1] = f.add(x[qudit - 1], elem)
             else:
                 z[qudit - 1] = f.add(z[qudit - 1], elem)
-    pad = (0,) * code.c
-    return (tuple(x) + pad, tuple(z) + pad)
+    return alice_error(code, x, z)
 
 
 def cmd_syndrome(args) -> int:
@@ -249,11 +254,21 @@ def cmd_syndrome(args) -> int:
     return EXIT_OK
 
 
-def non_negative_int(text: str) -> int:
-    """A non-negative integer option value; anything else is a usage error (exit 2)."""
+def random_check_count(text: str) -> int:
+    """`--random-checks`: 0..MAX_RANDOM_CHECKS; anything else is a usage error (exit 2)."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    if value > MAX_RANDOM_CHECKS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_RANDOM_CHECKS}, got {value}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """A positive integer option value; anything else is a usage error (exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 
@@ -284,14 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suite on a reduction")
     p.add_argument("file")
     add_mode(p, default=NORMALIZED)
-    p.add_argument("--random-checks", type=non_negative_int, default=0, metavar="N")
+    p.add_argument("--random-checks", type=random_check_count, default=0, metavar="N",
+                   help=f"random column/row op checks, at most {MAX_RANDOM_CHECKS}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="dense-unitary checks at desk scale")
     p.add_argument("file")
     add_mode(p, default=NORMALIZED)
-    p.add_argument("--max-dim", type=int, default=MAX_DIM)
+    p.add_argument("--max-dim", type=positive_int, default=MAX_DIM,
+                   help=f"largest dense dimension to build (capped at {MAX_DIM})")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("css", help="derive EA parameters from a parity-check matrix")

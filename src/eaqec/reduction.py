@@ -31,7 +31,6 @@ the F_p-rank of the input's antisymmetric Gram matrix.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
@@ -65,7 +64,6 @@ from .errors import (
     ReductionFailedError,
     ZeroA2Error,
 )
-from .linalg import rank_mod_p
 
 STRICT = "strict"
 NORMALIZED = "normalized"
@@ -126,11 +124,6 @@ def code_params(n: int, row_count: int, c: int) -> Tuple[int, int]:
     return a, n - a - c
 
 
-def gram_matrix(m: CheckMatrix):
-    """Antisymmetric table of all pairwise symplectic products, over F_p."""
-    return [list(row) for row in m.symplectic_table()]
-
-
 class _Reducer:
     """Single-use state machine; tracks the working tableau and the op log."""
 
@@ -170,9 +163,6 @@ class _Reducer:
     def z(self, r, col):
         return self.work.zs[r - 1][col - 1]
 
-    def product(self, i, j):
-        return self.work.product(i, j)
-
     # -- pivot handling --
 
     def find_pivot(self, start):
@@ -180,19 +170,19 @@ class _Reducer:
         r = self.work.row_count
         for i in range(start, r + 1):
             for j in range(i + 1, r + 1):
-                if self.product(i, j) != 0:
+                if self.work.product(i, j) != 0:
                     return i, j
         return None
 
     def normalize_product(self, s):
         """Make product(row s, row s+1) = 1 using rows > s."""
         r = self.work.row_count
-        v = self.product(s, s + 1)
+        v = self.work.product(s, s + 1)
         if v == 1:
             return
-        j2 = next((j for j in range(s + 2, r + 1) if self.product(s, j) != 0), None)
+        j2 = next((j for j in range(s + 2, r + 1) if self.work.product(s, j) != 0), None)
         if j2 is not None:
-            self.addmul(s + 1, j2, normalize_pair(self.p, v, self.product(s, j2)))
+            self.addmul(s + 1, j2, normalize_pair(self.p, v, self.work.product(s, j2)))
             return
         # row s+1 is the only partner; v != 0 here because a pivot was found
         if r >= s + 2:
@@ -329,29 +319,24 @@ def reduce_matrix(matrix: CheckMatrix, mode: str = STRICT) -> ReductionResult:
     field = matrix.field
     if field.m != 1:
         raise NonPrimeFieldError("reduction is defined over prime fields only")
-    r = matrix.row_count
-    if rank_mod_p(matrix.flat_rows(), field.p) != r:
+    if not matrix.rows_independent():
         raise DependentRowsError("input rows are linearly dependent over F_p")
-    reducer = _Reducer(matrix, mode)
-    canonical, ops, c = reducer.run()
-    a, k = code_params(matrix.n, r, c)
+    canonical, ops, c = _Reducer(matrix, mode).run()
+    a, k = code_params(matrix.n, matrix.row_count, c)
     if canonical.rows != _canonical_layout(field, matrix.n, c, a):
         raise ReductionFailedError("internal error: canonical layout violated")
-    prelim = ReductionResult(
-        source=matrix, canonical=canonical, oplog=tuple(ops),
-        c=c, a=a, k=k, mode=mode, augmented=canonical)
-    return dataclasses.replace(prelim, augmented=augment_ebits(prelim))
+    return ReductionResult(
+        source=matrix, canonical=canonical, oplog=tuple(ops), c=c, a=a, k=k,
+        mode=mode, augmented=augment_ebits(canonical, c))
 
 
-def augment_ebits(result: ReductionResult) -> CheckMatrix:
-    """Append one receiver column per hyperbolic pair.
+def augment_ebits(canonical: CheckMatrix, c: int) -> CheckMatrix:
+    """Append one receiver column per hyperbolic pair of a canonical matrix.
 
     The X row of pair t gains x = 1 and its Z partner gains z = p - 1 in
     receiver column n + t, which makes the whole generator set abelian.
     """
-    canonical = result.canonical
-    field = canonical.field
-    n, c = canonical.n, result.c
+    field, n = canonical.field, canonical.n
     if c == 0:
         return canonical
     rows = []
@@ -370,10 +355,6 @@ def augment_ebits(result: ReductionResult) -> CheckMatrix:
 # ---------------------------------------------------------------------------
 # replay helpers
 # ---------------------------------------------------------------------------
-
-# Folding the op log forward over `source` reproduces `canonical`.
-replay = apply_ops
-
 
 def inverse_ops(ops, field):
     """Inverted log in reverse order; gate set closed under repetition.

@@ -16,18 +16,17 @@ from eaqec import (
     RowOp,
     apply_clifford,
     apply_ops,
+    apply_row_op,
     css_import,
     make_field,
     normalize_pair,
     reduce_matrix,
-    replay,
-    row_add,
     row_space_equal,
     symplectic_product,
     synthesize_encoding_circuit,
     verify_encoding_circuit,
 )
-from eaqec.checkmatrix import add, dft, mul, phase, replay_steps
+from eaqec.checkmatrix import add, dft, mul, phase, replay_steps, row_op_addmul
 from eaqec.errors import NotConstructibleError
 from eaqec.linalg import rank_mod_p
 from eaqec.oracle import (
@@ -37,7 +36,7 @@ from eaqec.oracle import (
     pauli_unitary,
     stabilized_subspace_dim,
 )
-from eaqec.reduction import NORMALIZED, STRICT, augmented_source, gram_matrix
+from eaqec.reduction import NORMALIZED, STRICT, augmented_source
 from conftest import F5_ROWS, F7_ROWS
 
 ATOL = 1e-9
@@ -79,7 +78,7 @@ def test_criterion_2_f5_intermediate_values():
     ok = symplectic_product(f, m.rows[0], m.rows[1]) == 2
     ok &= symplectic_product(f, m.rows[0], m.rows[2]) == 4
     ok &= normalize_pair(5, 2, 4) == 1
-    ok &= row_add(m, 2, 3, 1).rows[1] == ((1, 4, 0, 1), (0, 0, 2, 0))
+    ok &= apply_row_op(m, row_op_addmul(2, 3, 1)).rows[1] == ((1, 4, 0, 1), (0, 0, 2, 0))
     report(2, ok, "F_5 intermediates: products (2, 4), multiplier m=1, exact repaired row")
 
 
@@ -90,7 +89,7 @@ def test_criterion_3_f7_example():
     except NotConstructibleError:
         strict_failed = True
     res = reduce_matrix(f7_matrix(), NORMALIZED)
-    gram_rank = rank_mod_p(gram_matrix(f7_matrix()), 7)
+    gram_rank = rank_mod_p(f7_matrix().symplectic_table(), 7)
     ok = strict_failed
     ok &= (res.c, res.a, res.k) == (2, 0, 3)
     ok &= 2 * res.c == gram_rank
@@ -157,7 +156,7 @@ def test_criterion_6_invariant_suite(reduced_corpus):
         count += 1
         source = res.source
         p = source.field.p
-        ok &= replay(source, res.oplog).rows == res.canonical.rows
+        ok &= apply_ops(source, res.oplog).rows == res.canonical.rows
         prev = source
         for op, cur in replay_steps(source, res.oplog):
             if isinstance(op, RowOp):
@@ -169,7 +168,7 @@ def test_criterion_6_invariant_suite(reduced_corpus):
         ok &= all(aug.product(i, j) == 0
                   for i in range(1, aug.row_count + 1)
                   for j in range(i + 1, aug.row_count + 1))
-        ok &= 2 * res.c == rank_mod_p(gram_matrix(source), p)
+        ok &= 2 * res.c == rank_mod_p(source.symplectic_table(), p)
         ok &= res.k == source.n - res.a - res.c
         if not ok:
             break
@@ -204,7 +203,8 @@ def test_criterion_8_stabilized_subspace_dimensions():
     ])
     scrambled = apply_ops(base, [dft(2), add(1, 2), mul(2, 3), phase(1, 1),
                                  add(3, 1), dft(3)])
-    scrambled = row_add(row_add(scrambled, 3, 1, 2), 2, 3, 1)
+    scrambled = apply_row_op(apply_row_op(scrambled, row_op_addmul(3, 1, 2)),
+                             row_op_addmul(2, 3, 1))
     res3 = reduce_matrix(scrambled, NORMALIZED)
     dim3 = stabilized_subspace_dim(f3, list(res3.augmented.rows), res3.source.n + res3.c)
     ok &= res3.k == 1 and dim3 == 3
@@ -216,7 +216,7 @@ def test_criterion_9_css_import():
     f2 = make_field(2)
     res = reduce_matrix(css_import(f2, [(1, 0, 1), (0, 1, 1)]), NORMALIZED)
     ok = res.display() == "[[3,1;2]]_2"
-    ok &= rank_mod_p(gram_matrix(css_import(f2, [(1, 0, 1), (0, 1, 1)])), 2) == 2 * res.c
+    ok &= rank_mod_p(css_import(f2, [(1, 0, 1), (0, 1, 1)]).symplectic_table(), 2) == 2 * res.c
     # self-orthogonal H (trace form): zero ebits
     h = [(1, 1, 0, 0), (0, 0, 1, 1)]
     res_so = reduce_matrix(css_import(f2, h), NORMALIZED)

@@ -25,11 +25,11 @@ from eaqec.checkmatrix import (
     _Tableau,
     add,
     apply_clifford,
+    apply_row_op,
     dft,
     mul,
     phase,
     replay_steps,
-    row_add,
     row_op_addmul,
     row_op_scale,
 )
@@ -85,7 +85,7 @@ def reference_random_ops(matrix, count, rng):
         cur = nxt
         if cur.row_count >= 2:
             d, s = rng.sample(range(1, cur.row_count + 1), 2)
-            nxt = row_add(cur, d, s, rng.randrange(f.p if f.m > 1 else f.q))
+            nxt = apply_row_op(cur, row_op_addmul(d, s, rng.randrange(f.p if f.m > 1 else f.q)))
             ok &= row_space_equal(cur, nxt)
             cur = nxt
     return ok

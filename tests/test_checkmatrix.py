@@ -7,17 +7,16 @@ from eaqec import (
     add,
     apply_clifford,
     apply_ops,
+    apply_row_op,
     dft,
     make_field,
     mul,
     parse_check_matrix,
     phase,
-    row_add,
-    row_scale,
     row_space_equal,
-    row_swap,
     serialize_check_matrix,
 )
+from eaqec.checkmatrix import row_op_addmul, row_op_scale, row_op_swap
 from eaqec.errors import (
     BadScalarError,
     DimensionMismatchError,
@@ -86,7 +85,7 @@ def test_comments_and_whitespace_ignored():
 # --- row operations ---
 
 def test_row_add_f5_repair_step():
-    m2 = row_add(f5_matrix(), 2, 3, 1)
+    m2 = apply_row_op(f5_matrix(), row_op_addmul(2, 3, 1))
     assert m2.rows[1] == ((1, 4, 0, 1), (0, 0, 2, 0))
     # untouched rows stay put
     assert m2.rows[0] == F5_ROWS[0] and m2.rows[2] == F5_ROWS[2]
@@ -101,42 +100,42 @@ def test_row_add_accumulates_multiple_sources():
         ((3, 2, 0, 1), (3, 1, 1, 0)),
         ((1, 0, 2, 2), (2, 0, 4, 2)),
     ])
-    m = row_add(m, 4, 1, 4)
-    m = row_add(m, 4, 2, 3)
+    m = apply_row_op(m, row_op_addmul(4, 1, 4))
+    m = apply_row_op(m, row_op_addmul(4, 2, 3))
     assert m.rows[3] == ((0, 0, 2, 2), (0, 0, 4, 2))
 
 
 def test_row_add_zero_scalar_is_identity():
     m = f5_matrix()
-    assert row_add(m, 1, 2, 0) == m
+    assert apply_row_op(m, row_op_addmul(1, 2, 0)) == m
 
 
 def test_row_add_validation():
     m = f5_matrix()
     with pytest.raises(IndexOutOfRangeError):
-        row_add(m, 1, 1, 2)
+        apply_row_op(m, row_op_addmul(1, 1, 2))
     with pytest.raises(IndexOutOfRangeError):
-        row_add(m, 0, 2, 1)
+        apply_row_op(m, row_op_addmul(0, 2, 1))
     with pytest.raises(BadScalarError):
-        row_add(m, 1, 2, 5)
+        apply_row_op(m, row_op_addmul(1, 2, 5))
 
 
 def test_row_scale_and_swap():
     m = f5_matrix()
-    swapped = row_swap(m, 1, 3)
+    swapped = apply_row_op(m, row_op_swap(1, 3))
     assert swapped.rows[0] == m.rows[2] and swapped.rows[2] == m.rows[0]
-    scaled = row_scale(m, 1, 2)
+    scaled = apply_row_op(m, row_op_scale(1, 2))
     assert scaled.rows[0] == ((1, 2, 2, 0), (2, 4, 0, 4))
     with pytest.raises(BadScalarError):
-        row_scale(m, 1, 0)
+        apply_row_op(m, row_op_scale(1, 0))
 
 
 def test_extension_field_scalars_restricted_to_prime_subfield():
     f4 = make_field(2, 2)
     m = CheckMatrix.from_rows(f4, [((2, 3), (0, 1)), ((1, 0), (2, 2))])
     with pytest.raises(BadScalarError):
-        row_add(m, 1, 2, 2)  # omega is not an allowed generator power
-    assert row_add(m, 1, 2, 1).rows[0] == ((3, 3), (2, 3))
+        apply_row_op(m, row_op_addmul(1, 2, 2))  # omega is not an allowed generator power
+    assert apply_row_op(m, row_op_addmul(1, 2, 1)).rows[0] == ((3, 3), (2, 3))
 
 
 # --- Clifford column operations ---
@@ -223,12 +222,12 @@ def test_operation_orders(p, m):
 
 def test_row_space_equal_under_permutation():
     m = f5_matrix()
-    assert row_space_equal(m, row_swap(m, 1, 4))
+    assert row_space_equal(m, apply_row_op(m, row_op_swap(1, 4)))
 
 
 def test_row_space_equal_after_row_add():
     m = f5_matrix()
-    assert row_space_equal(m, row_add(m, 2, 3, 1))
+    assert row_space_equal(m, apply_row_op(m, row_op_addmul(2, 3, 1)))
 
 
 def test_row_space_not_equal_with_zeroed_row():
@@ -241,7 +240,7 @@ def test_row_space_not_equal_with_zeroed_row():
 def test_row_space_equal_extension_field():
     f4 = make_field(2, 2)
     m = CheckMatrix.from_rows(f4, [((2, 3), (0, 1)), ((1, 1), (3, 0))])
-    assert row_space_equal(m, row_add(m, 2, 1, 1))
+    assert row_space_equal(m, apply_row_op(m, row_op_addmul(2, 1, 1)))
     # omega * row is outside the F_2-span of the rows
     scaled = CheckMatrix.from_rows(
         f4, [((f4.mul(2, 2), f4.mul(2, 3)), (0, f4.mul(2, 1))), m.rows[1]])

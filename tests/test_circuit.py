@@ -196,6 +196,9 @@ def _doc(gates, p=5, m=1):
     '{"version": 1, "p": "5", "m": 1, "n": 2, "c": 0, "gates": []}',
     '{"version": 1, "p": 5, "m": 1, "n": 2, "gates": []}',
     '[]',
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-array"),   # RecursionError
+    pytest.param('{"a": ' * 100_000 + "1" + "}" * 100_000, id="nested-object"),
+    pytest.param('{"version": 1, "p": ' + "1" * 5000 + "}", id="5000-digit-integer"),
 ])
 def test_circuit_from_json_raises_only_parse_error(text):
     with pytest.raises(ParseError):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from eaqec.cli import main
+from eaqec.cli import build_parser, main
 from conftest import FIXTURES, fixture_text
 
 
@@ -202,3 +202,40 @@ def test_negative_random_check_count_is_an_input_error(capsys, fixture_path):
     assert "--random-checks" in captured.err and "non-negative" in captured.err
     assert "random_ops" not in captured.out
     assert run(["verify", fixture_path("f5_pair.eacm"), "--random-checks", 0]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["reduce"], ["circuit", "-o", "-"], ["verify"], ["oracle"], ["css"],
+    ["syndrome", "--error", ""],
+])
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.eacm"
+    path.write_bytes(b"EACM 5 1 1 1\n\xff | 0\n")
+    assert run([command[0], path] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("input error:")
+    assert "UTF-8" in err
+
+
+@pytest.mark.parametrize("count", ["1000001", str(10 ** 23)])
+def test_random_check_count_is_capped(capsys, count):
+    # parse only: if the cap were missing, running the command would not end
+    parser = build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["verify", "x.eacm", "--random-checks", count])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--random-checks" in captured.err and "at most 1000000" in captured.err
+    assert captured.out == ""
+    args = parser.parse_args(["verify", "x.eacm", "--random-checks", "1000000"])
+    assert args.random_checks == 10 ** 6
+
+
+@pytest.mark.parametrize("max_dim", ["-5", "0"])
+def test_oracle_max_dim_must_be_positive(capsys, fixture_path, max_dim):
+    with pytest.raises(SystemExit) as exc:
+        run(["oracle", fixture_path("f5_pair.eacm"), "--max-dim", max_dim])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--max-dim" in captured.err and "positive" in captured.err
+    assert captured.out == ""

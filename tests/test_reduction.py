@@ -6,13 +6,12 @@ from eaqec import (
     CheckMatrix,
     CliffordOp,
     RowOp,
+    apply_ops,
     augment_ebits,
     code_params,
-    gram_matrix,
     make_field,
     normalize_pair,
     reduce_matrix,
-    replay,
     row_space_equal,
 )
 from eaqec.checkmatrix import replay_steps, row_op_addmul
@@ -83,7 +82,7 @@ def test_f5_reduction(f5_matrix):
 def test_f5_first_op_is_the_pair_repair(f5_matrix):
     res = reduce_matrix(f5_matrix, STRICT)
     assert res.oplog[0] == row_op_addmul(2, 3, 1)
-    after = replay(f5_matrix, res.oplog[:1])
+    after = apply_ops(f5_matrix, res.oplog[:1])
     assert after.rows[1] == ((1, 4, 0, 1), (0, 0, 2, 0))
 
 
@@ -105,7 +104,7 @@ def test_f7_strict_fails(f7_matrix):
 def test_f7_normalized_matches_gram_rank(f7_matrix):
     res = reduce_matrix(f7_matrix, NORMALIZED)
     assert (res.c, res.a, res.k) == (2, 0, 3)
-    assert rank_mod_p(gram_matrix(f7_matrix), 7) == 2 * res.c == 4
+    assert rank_mod_p(f7_matrix.symplectic_table(), 7) == 2 * res.c == 4
 
 
 def test_already_canonical_yields_empty_log():
@@ -142,7 +141,7 @@ def test_strict_borrows_a_commuting_row_when_lone_partner_is_non_unit():
     res = reduce_matrix(m, STRICT)
     assert (res.c, res.a, res.k) == (1, 1, 0)
     assert res.oplog[0] == row_op_addmul(3, 2, 2)
-    assert replay(m, res.oplog).rows == res.canonical.rows
+    assert apply_ops(m, res.oplog).rows == res.canonical.rows
 
 
 def test_residual_pair_with_product_p_minus_1_is_strict_failure():
@@ -192,7 +191,7 @@ def test_augment_no_ebits_is_unchanged():
     m = CheckMatrix.from_rows(f, [((0, 0), (1, 0)), ((0, 0), (0, 1))])
     res = reduce_matrix(m, STRICT)
     assert res.c == 0
-    assert augment_ebits(res) == res.canonical
+    assert augment_ebits(res.canonical, res.c) == res.canonical
 
 
 def test_augment_f7_receiver_entries():
@@ -223,7 +222,7 @@ def test_random_instances_full_invariants():
             m = random_instance(rng, p, max_n=5)
             res = reduce_matrix(m, NORMALIZED)
             # replay soundness
-            assert replay(m, res.oplog).rows == res.canonical.rows
+            assert apply_ops(m, res.oplog).rows == res.canonical.rows
             # per-step invariants
             prev = m
             for op, cur in replay_steps(m, res.oplog):
@@ -234,7 +233,7 @@ def test_random_instances_full_invariants():
                     assert prev.symplectic_table() == cur.symplectic_table()
                 prev = cur
             # independently computed ebit count and parameter identity
-            assert 2 * res.c == rank_mod_p(gram_matrix(m), p)
+            assert 2 * res.c == rank_mod_p(m.symplectic_table(), p)
             assert res.k == m.n - res.a - res.c
             # determinism
             res2 = reduce_matrix(m, NORMALIZED)

@@ -17,13 +17,11 @@ from eaqec import (
     add,
     apply_clifford,
     apply_ops,
+    apply_row_op,
     dft,
     make_field,
     mul,
     phase,
-    row_add,
-    row_scale,
-    row_swap,
 )
 from eaqec.checkmatrix import (
     ADDMUL,
@@ -70,10 +68,10 @@ def _single(m, op):
     if not isinstance(op, RowOp):
         return apply_clifford(m, op)
     if op.kind == SWAP:
-        return row_swap(m, op.dest, op.src)
+        return apply_row_op(m, row_op_swap(op.dest, op.src))
     if op.kind == ADDMUL:
-        return row_add(m, op.dest, op.src, op.scalar)
-    return row_scale(m, op.dest, op.scalar)
+        return apply_row_op(m, row_op_addmul(op.dest, op.src, op.scalar))
+    return apply_row_op(m, row_op_scale(op.dest, op.scalar))
 
 
 def _cases():
