@@ -1,11 +1,24 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from eaqec import Pauli, commutes, make_field, pauli_mul, pauli_weight, symplectic_product
+from eaqec import (
+    CheckMatrix,
+    EACode,
+    Pauli,
+    commutes,
+    in_centralizer,
+    make_field,
+    pauli_mul,
+    pauli_weight,
+    symplectic_product,
+    syndrome,
+)
 from eaqec.errors import DimensionMismatchError
 from eaqec.oracle import omega, pauli_unitary
+from eaqec.pauli import rows_commute
 
 F5_ROW1 = ((3, 1, 1, 0), (1, 2, 0, 2))
 F5_ROW2 = ((0, 3, 0, 4), (2, 4, 1, 3))
@@ -129,3 +142,85 @@ def test_dimension_mismatch():
 def test_str_rendering():
     f = make_field(3)
     assert str(Pauli(f, 2, 1, (1, 0), (2, 2))) == "w^1 X(1,0) Z(2,2)"
+
+
+# --- the per-entry definition as the reference ---
+
+def reference_product(field, g, h):
+    """sum_i tr(x_g z_h - x_h z_g) mod p, one field call per entry."""
+    (xg, zg), (xh, zh) = g, h
+    total = 0
+    for a, b, c, d in zip(xg, zg, xh, zh):
+        total += field.trace(field.sub(field.mul(a, d), field.mul(c, b)))
+    return total % field.p
+
+
+FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (5, 2)]
+
+
+def _random_rows(rng, field, n, count):
+    return [(tuple(rng.randrange(field.q) for _ in range(n)),
+             tuple(rng.randrange(field.q) for _ in range(n))) for _ in range(count)]
+
+
+def _commuting_rows(rng, field, n, tries):
+    """Greedily keep random rows that commute with every row kept so far."""
+    kept = []
+    for row in _random_rows(rng, field, n, tries):
+        if all(reference_product(field, row, k) == 0 for k in kept):
+            kept.append(row)
+    return kept
+
+
+@pytest.mark.parametrize("p,m", FIELDS)
+def test_products_agree_with_the_per_entry_definition(p, m):
+    field = make_field(p, m)
+    rng = random.Random(1000 * p + m)
+    for n in (1, 2, 3, 5):
+        rows = _random_rows(rng, field, n, 6)
+        ref = [[reference_product(field, g, h) for h in rows] for g in rows]
+        assert [[symplectic_product(field, g, h) for h in rows] for g in rows] == ref
+        paulis = [Pauli(field, n, 0, x, z) for x, z in rows]
+        assert [[symplectic_product(field, g, h) for h in paulis] for g in paulis] == ref
+        matrix = CheckMatrix(field, n, tuple(rows))
+        assert [list(t) for t in matrix.symplectic_table()] == ref
+        assert [[matrix.product(i, j) for j in range(1, 7)] for i in range(1, 7)] == ref
+        code = EACode(field=field, n=n, k=0, c=0, a=len(rows), augmented=matrix,
+                      canonical_augmented=matrix, result=None)
+        for error in _random_rows(rng, field, n, 4):
+            want = tuple(reference_product(field, error, g) for g in rows)
+            assert syndrome(code, error, allow_bob=True) == want
+            assert in_centralizer(field, error, rows) == (not any(want))
+            partners = [g for g, v in zip(rows, want) if v == 0]
+            assert in_centralizer(field, error, partners)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rows_commute_agrees_with_the_per_entry_definition(p):
+    field = make_field(p)
+    rng = random.Random(77 + p)
+    for n in (1, 2, 4):
+        commuting = _commuting_rows(rng, field, n, 40)
+        assert len(commuting) >= 2
+        assert rows_commute(p, commuting)
+        for extra in _random_rows(rng, field, n, 6):
+            want = all(reference_product(field, extra, k) == 0 for k in commuting)
+            assert rows_commute(p, commuting + [extra]) == want
+            # any integer representatives, as in the audit's pseudo-rows
+            shifted = [(tuple(v - p * rng.randrange(-2, 3) for v in x),
+                        tuple(v - p * rng.randrange(-2, 3) for v in z))
+                       for x, z in commuting + [extra]]
+            assert rows_commute(p, shifted) == want
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2)])
+def test_product_is_the_dense_commutator_phase_over_extension_fields(p, m):
+    # g h = w^product(h, g) h g on one qudit, for every pair of rows
+    field = make_field(p, m)
+    w = omega(field)
+    rows = [((x,), (z,)) for x, z in itertools.product(range(field.q), repeat=2)]
+    dense = [pauli_unitary(field, row) for row in rows]
+    for g, gm in zip(rows, dense):
+        for h, hm in zip(rows, dense):
+            s = symplectic_product(field, h, g)
+            assert np.allclose(gm @ hm, w ** s * (hm @ gm), atol=1e-9)
