@@ -111,7 +111,7 @@ def _column_step(work: _Tableau, op: CliffordOp) -> Optional[str]:
     if not all(0 <= min(col, default=0) and max(col, default=0) < p
                for col in new_x + new_z):
         return "wrote an entry outside 0..p-1"
-    if not rows_commute(p, pseudo):
+    if not rows_commute(work.field, pseudo):
         return "changed a pairwise symplectic product"
     return None
 
@@ -182,7 +182,7 @@ def audit_reduction(result: ReductionResult) -> Dict[str, Verdict]:
     replayed = Verdict.check(work.xs == [list(x) for x, _ in canonical]
                              and work.zs == [list(z) for _, z in canonical],
                              "the replayed log does not give the canonical rows")
-    abelian = Verdict.check(rows_commute(result.source.field.p, result.augmented.rows),
+    abelian = Verdict.check(rows_commute(result.source.field, result.augmented.rows),
                             "the augmented generators do not commute")
     return {"replay": replayed, "row_space": row_space,
             "symplectic": symplectic, "abelian": abelian}

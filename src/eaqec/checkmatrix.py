@@ -43,7 +43,7 @@ from .errors import (
 )
 from .field import GaloisField, make_field
 from .linalg import rref_mod_p
-from .pauli import Row, symplectic_product
+from .pauli import Row, prime_coordinates, product_table, symplectic_product
 
 DFT = "DFT"
 MUL = "MUL"
@@ -173,15 +173,7 @@ class CheckMatrix:
 
     def symplectic_table(self) -> Tuple[Tuple[int, ...], ...]:
         """Full antisymmetric Gram table of the rows over F_p."""
-        r = self.row_count
-        return tuple(
-            tuple(symplectic_product(self.field, self.rows[i], self.rows[j])
-                  for j in range(r))
-            for i in range(r))
-
-    def flat_rows(self):
-        """Rows as length-2n integer vectors (x then z)."""
-        return [list(x) + list(z) for x, z in self.rows]
+        return tuple(map(tuple, product_table(self.field, self.rows, self.rows)))
 
     def rows_independent(self) -> bool:
         """On-demand check that no nontrivial F_p-combination of rows vanishes."""
@@ -334,16 +326,7 @@ def replay_steps(m: CheckMatrix, ops):
 
 def _prime_expanded_rows(m: CheckMatrix):
     """Rows as F_p vectors; each GF(p^m) entry becomes m base-p digits."""
-    f = m.field
-    if f.m == 1:
-        return m.flat_rows()
-    out = []
-    for x, z in m.rows:
-        vec = []
-        for v in x + z:
-            vec.extend(f.digits(v))
-        out.append(vec)
-    return out
+    return [prime_coordinates(m.field, x + z) for x, z in m.rows]
 
 
 def row_space_equal(m1: CheckMatrix, m2: CheckMatrix) -> bool:

@@ -110,7 +110,7 @@ def verify_encoding_circuit(result: ReductionResult, circuit: Circuit) -> bool:
         if x[n:] != ax[n:] or z[n:] != az[n:]:
             return False
     sender = CheckMatrix(field, n, tuple((x[:n], z[:n]) for x, z in encoded.rows))
-    return row_space_equal(sender, result.source) and rows_commute(field.p, encoded.rows)
+    return row_space_equal(sender, result.source) and rows_commute(field, encoded.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ def _parse_error_spec(spec: str, code) -> tuple:
                 raise ParseError(f"bad error spec component {part!r}; "
                                  "use X:<qudit>:<elem> or Z:<qudit>:<elem>")
             try:
-                qudit, elem = int(fields[1]), int(fields[2])
+                qudit, elem = ascii_int(fields[1]), ascii_int(fields[2])
             except ValueError:
                 raise ParseError(f"bad integers in error spec {part!r}") from None
             if not 1 <= qudit <= code.n:
@@ -254,9 +254,18 @@ def cmd_syndrome(args) -> int:
     return EXIT_OK
 
 
+def ascii_int(text: str) -> int:
+    """An integer in ASCII digits with an optional leading '-', the file format's
+    rule plus a sign; blanks, '+', '_' and other digits are a ValueError."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer in ASCII digits: {text!r}")
+    return int(text)
+
+
 def random_check_count(text: str) -> int:
     """`--random-checks`: 0..MAX_RANDOM_CHECKS; anything else is a usage error (exit 2)."""
-    value = int(text)
+    value = ascii_int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     if value > MAX_RANDOM_CHECKS:
@@ -266,7 +275,7 @@ def random_check_count(text: str) -> int:
 
 def positive_int(text: str) -> int:
     """A positive integer option value; anything else is a usage error (exit 2)."""
-    value = int(text)
+    value = ascii_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
@@ -301,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_mode(p, default=NORMALIZED)
     p.add_argument("--random-checks", type=random_check_count, default=0, metavar="N",
                    help=f"random column/row op checks, at most {MAX_RANDOM_CHECKS}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=ascii_int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="dense-unitary checks at desk scale")

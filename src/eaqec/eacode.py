@@ -27,7 +27,7 @@ from .errors import (
 )
 from .field import GaloisField
 from .linalg import in_span_mod_p
-from .pauli import Row, symplectic_product
+from .pauli import Row, product_table
 from .reduction import ReductionResult, encoded_generators
 
 PAIR_CAP = 10 ** 6
@@ -88,28 +88,19 @@ def check_eq4(field: GaloisField, z_rows: Sequence[Row], x_rows: Sequence[Row]) 
 
     All Z-Z and X-X products must vanish, X_i against Z_j must vanish for
     unpaired indices, and each paired product must equal exactly 1 (the
-    relation the ebit augmentation later resolves).
+    relation the ebit augmentation later resolves).  The Gram table of
+    all rows is compared with that pattern.
     """
     z_rows, x_rows = list(z_rows), list(x_rows)
     c = len(x_rows)
     a = len(z_rows) - c
     if a < 0:
         raise BadGroupingError("more X-bar rows than Z-bar rows")
-    sp = lambda g, h: symplectic_product(field, g, h)
-    for i in range(len(z_rows)):
-        for j in range(i + 1, len(z_rows)):
-            if sp(z_rows[i], z_rows[j]) != 0:
-                return False
-    for i in range(c):
-        for j in range(i + 1, c):
-            if sp(x_rows[i], x_rows[j]) != 0:
-                return False
-    for i in range(c):
-        for j in range(len(z_rows)):
-            want = 1 if j == a + i else 0
-            if sp(x_rows[i], z_rows[j]) != want:
-                return False
-    return True
+    rows = z_rows + x_rows
+    want = [[0] * len(rows) for _ in rows]
+    for i in range(c):  # x_rows[i] is rows[a + c + i], its partner rows[a + i]
+        want[a + c + i][a + i], want[a + i][a + c + i] = 1, field.p - 1
+    return product_table(field, rows, rows) == want
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +120,7 @@ def in_group(field: GaloisField, row: Row, generators: Sequence[Row]) -> bool:
 
 
 def in_centralizer(field: GaloisField, row: Row, generators: Sequence[Row]) -> bool:
-    return all(symplectic_product(field, row, g) == 0 for g in generators)
+    return not any(product_table(field, [row], generators)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +148,7 @@ def syndrome(code: EACode, error: Row, allow_bob: bool = False) -> Tuple[int, ..
     """Symplectic products of the error with each encoded generator."""
     if not allow_bob:
         _check_alice_support(code, error)
-    return tuple(symplectic_product(code.field, error, g)
-                 for g in code.augmented.rows)
+    return tuple(product_table(code.field, [error], code.augmented.rows)[0])
 
 
 def is_correctable(code: EACode, errors: Sequence[Row]) -> bool:

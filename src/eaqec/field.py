@@ -15,7 +15,8 @@ subfield and is returned as an int in [0, p-1].  For characteristic 2 the
 field also exposes wgt(a): the number of self-dual-basis coordinates of `a`
 with nonzero trace pairing, which the even-q phase gate needs.  The
 self-dual basis is found by exhaustive search (only desk-scale q is
-supported) and cached.
+supported) and cached, and so is the trace form, which turns tr(a b) into
+an integer bilinear form on the base-p digits of a and b.
 """
 
 from __future__ import annotations
@@ -159,6 +160,7 @@ class GaloisField:
                 raise ReduciblePolynomialError(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
         self._sdb = None
+        self._trace_form = None
 
     # -- element codecs --
 
@@ -243,6 +245,14 @@ class GaloisField:
         # the trace lies in the prime subfield, i.e. only digit 0 is set
         assert t < self.p, "trace escaped the prime subfield"
         return t
+
+    def trace_form(self):
+        """G[k][l] = tr(alpha^(k+l)), alpha the element encoded as p, so that
+        tr(a b) = digits(a) . G digits(b); G = ((1,),) for m = 1."""
+        if self._trace_form is None:
+            t = [self.trace(self.pow(self.p, k)) for k in range(2 * self.m - 1)]
+            self._trace_form = tuple(tuple(t[k:k + self.m]) for k in range(self.m))
+        return self._trace_form
 
     def self_dual_basis(self):
         """A basis {b_1..b_m} with tr(b_i b_j) = delta_ij (characteristic 2 only)."""

@@ -35,7 +35,7 @@ from .errors import (
     NotAPauliError,
 )
 from .field import GaloisField
-from .pauli import Pauli, symplectic_product
+from .pauli import Pauli, _as_row, rows_commute
 
 MAX_DIM = 1024
 ATOL = 1e-9
@@ -202,10 +202,8 @@ def clifford_unitary(field: GaloisField, op: CliffordOp, n: int = 1) -> np.ndarr
         elif op.gamma == 0:
             u = np.eye(field.q, dtype=complex)
         else:
-            g0 = field.sqrt(op.gamma)
-            d = np.diag([(-1j) ** field.wgt(y) for y in range(field.q)])
-            u = (multiplier_unitary(field, field.inv(g0)) @ d
-                 @ multiplier_unitary(field, g0))
+            u = (phase_unitary(field, op.gamma)
+                 @ multiplier_unitary(field, field.sqrt(op.gamma)))
         return _embed_single(field, u, op.target, n)
     if op.kind == ADD:
         return _embed_pair(field, add_unitary(field), op.control, op.target, n)
@@ -315,11 +313,8 @@ def stabilized_subspace_dim(field: GaloisField, generators: Sequence,
         n = len(gens[0][0])
     dim = field.q ** n
     _check_dim(dim, max_dim)
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if symplectic_product(field, gens[i], gens[j]) != 0:
-                raise NonCommutingGeneratorsError(
-                    f"generators {i} and {j} do not commute")
+    if not rows_commute(field, [_as_row(field, g) for g in gens]):
+        raise NonCommutingGeneratorsError("the generators do not commute pairwise")
     proj = np.eye(dim, dtype=complex)
     for g in gens:
         u = pauli_unitary(field, g, n)

@@ -239,3 +239,31 @@ def test_oracle_max_dim_must_be_positive(capsys, fixture_path, max_dim):
     captured = capsys.readouterr()
     assert "--max-dim" in captured.err and "positive" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command,value,code", [
+    ("syndrome --error", "X:\u0661:1", 2),          # Arabic-Indic qudit
+    ("syndrome --error", "X:1:\u0661", 2),          # Arabic-Indic element
+    ("syndrome --error", "Z: 2:1", 2),
+    ("syndrome --error", "X:+1:1", 2),
+    ("syndrome --error", "X:1:1,Z:2:3", 0),
+    ("verify --random-checks", "\u0661\u0660", 2),
+    ("verify --random-checks", "1_0", 2),
+    ("verify --random-checks", "2", 0),
+    ("verify --seed", " 3", 2),
+    ("verify --seed", "+3", 2),
+    ("verify --seed", "\u0663", 2),
+    ("verify --seed", "-3", 0),
+    ("oracle --max-dim", "\u0669", 2),
+    ("oracle --max-dim", "\uff11\uff10\uff10", 2),  # fullwidth 100
+    ("oracle --max-dim", "100", 0),
+])
+def test_integer_options_take_ascii_digits_only(capsys, fixture_path, command, value, code):
+    name, option = command.split()
+    try:
+        got = run([name, fixture_path("f5_pair.eacm"), option, value])
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    if code:
+        assert capsys.readouterr().err.strip()

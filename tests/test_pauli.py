@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from eaqec import (
+    NORMALIZED,
     CheckMatrix,
     EACode,
     Pauli,
+    build_code,
     commutes,
     in_centralizer,
     make_field,
     pauli_mul,
     pauli_weight,
+    reduce_matrix,
     symplectic_product,
     syndrome,
 )
@@ -135,8 +138,17 @@ def test_dimension_mismatch():
     g7 = Pauli(f7, 1, 0, (1,), (0,))
     with pytest.raises(DimensionMismatchError):
         pauli_mul(g5, g7)
-    with pytest.raises(DimensionMismatchError):
-        symplectic_product(f5, ((1,), (0,)), ((1, 0), (0, 0)))
+    short, full = ((1,), (0,)), ((1, 0), (0, 0))
+    ragged = ((1, 0), (1,))   # x and z of one row differ in length
+    code = build_code(reduce_matrix(CheckMatrix.from_rows(f5, [full]), NORMALIZED))
+    for call in (lambda: symplectic_product(f5, short, full),
+                 lambda: symplectic_product(f5, ragged, ((1, 0), (0, 1))),
+                 lambda: rows_commute(f5, [full, short]),
+                 lambda: rows_commute(f5, [full, ragged]),
+                 lambda: in_centralizer(f5, short, [full]),
+                 lambda: syndrome(code, short, allow_bob=True)):
+        with pytest.raises(DimensionMismatchError):
+            call()
 
 
 def test_str_rendering():
@@ -195,22 +207,24 @@ def test_products_agree_with_the_per_entry_definition(p, m):
             assert in_centralizer(field, error, partners)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_rows_commute_agrees_with_the_per_entry_definition(p):
-    field = make_field(p)
+@pytest.mark.parametrize("p,m", FIELDS)
+def test_rows_commute_agrees_with_the_per_entry_definition(p, m):
+    field = make_field(p, m)
     rng = random.Random(77 + p)
     for n in (1, 2, 4):
         commuting = _commuting_rows(rng, field, n, 40)
         assert len(commuting) >= 2
-        assert rows_commute(p, commuting)
+        assert rows_commute(field, commuting)
         for extra in _random_rows(rng, field, n, 6):
             want = all(reference_product(field, extra, k) == 0 for k in commuting)
-            assert rows_commute(p, commuting + [extra]) == want
+            assert rows_commute(field, commuting + [extra]) == want
+            if m > 1:
+                continue
             # any integer representatives, as in the audit's pseudo-rows
             shifted = [(tuple(v - p * rng.randrange(-2, 3) for v in x),
                         tuple(v - p * rng.randrange(-2, 3) for v in z))
                        for x, z in commuting + [extra]]
-            assert rows_commute(p, shifted) == want
+            assert rows_commute(field, shifted) == want
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2)])
