@@ -22,6 +22,7 @@ from eaqec import (
     make_field,
     mul,
     phase,
+    reduce_matrix,
 )
 from eaqec.checkmatrix import (
     ADDMUL,
@@ -32,6 +33,8 @@ from eaqec.checkmatrix import (
     row_op_swap,
 )
 from eaqec.errors import BadScalarError, IndexOutOfRangeError, NonInvertibleGammaError
+from eaqec.reduction import NORMALIZED
+from test_golden import corpus
 
 FIELDS = [(3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]   # q = 3, 4, 5, 8, 9
 
@@ -143,3 +146,13 @@ def test_bad_op_mid_sequence_raises_like_single_op(p, m):
         assert str(multi.value) == str(single.value)
         with pytest.raises(error):
             list(replay_steps(matrix, head + [bad] + tail))
+
+
+def test_encoding_replay_equals_step_by_step_replay_on_golden_corpus():
+    """The multi-op path and the one-op-at-a-time path agree on the circuits
+    the pipeline emits, whose gates come in long runs of one repeated op."""
+    for _, matrix in corpus():
+        res = reduce_matrix(matrix, NORMALIZED)
+        *_, (_, last) = replay_steps(res.augmented, res.encoding_gates)
+        assert apply_ops(res.augmented, res.encoding_gates) == last
+        assert res.encoded == last
