@@ -205,9 +205,11 @@ class _Tableau:
     Built from a validated CheckMatrix, updated in place by `apply` and
     turned back into a validated CheckMatrix by `freeze`, so entries are
     checked once on the way in and once on the way out.  A column op costs
-    O(rows) and a row op O(n).  Every op is checked (indices, gamma,
-    scalar) before anything is written, with the same errors as the
-    single-op functions below, which are wrappers around this class.
+    O(rows), however often it is repeated, and a row op O(n); over GF(p)
+    both work in integer arithmetic mod p, with no field-method call per
+    entry.  Every op is checked (indices, gamma, scalar) before anything
+    is written, with the same errors as the single-op functions below,
+    which are wrappers around this class.
     """
 
     __slots__ = ("field", "n", "xs", "zs")
@@ -237,7 +239,6 @@ class _Tableau:
     def row_op(self, op: RowOp) -> "_Tableau":
         """Generating-set operation; the generated group is unchanged."""
         f, r = self.field, len(self.xs)
-        scl = f.scale if f.m > 1 else f.mul   # scalars lie in the prime subfield
         if op.kind == SWAP:
             i, j = _row_index(op.dest, r), _row_index(op.src, r)
             for side in (self.xs, self.zs):
@@ -247,48 +248,113 @@ class _Tableau:
             if d == s:
                 raise IndexOutOfRangeError("dest and src must differ")
             _scalar_domain_check(f, op.scalar)
+            lam, p = op.scalar, f.p
             for side in (self.xs, self.zs):
-                side[d] = [f.add(a, scl(op.scalar, b)) for a, b in zip(side[d], side[s])]
+                if f.m == 1:
+                    side[d] = [(a + lam * b) % p for a, b in zip(side[d], side[s])]
+                else:  # lam lies in the prime subfield
+                    side[d] = [f.add(a, f.scale(lam, b)) for a, b in zip(side[d], side[s])]
         elif op.kind == SCALE:
             i = _row_index(op.dest, r)
             _scalar_domain_check(f, op.scalar)
-            if op.scalar % f.p == 0:
+            lam, p = op.scalar, f.p
+            if lam % p == 0:
                 raise BadScalarError("SCALE scalar must be nonzero")
             for side in (self.xs, self.zs):
-                side[i] = [scl(op.scalar, v) for v in side[i]]
+                if f.m == 1:
+                    side[i] = [lam * v % p for v in side[i]]
+                else:
+                    side[i] = [f.scale(lam, v) for v in side[i]]
         else:
             raise ValueError(f"unknown row op kind {op.kind!r}")
         return self
 
-    def clifford(self, op: CliffordOp) -> "_Tableau":
-        """Column action of a Clifford gate on every row."""
+    def clifford(self, op: CliffordOp, times: int = 1) -> "_Tableau":
+        """Column action of a Clifford gate, applied `times` >= 0 times, on every row.
+
+        Every check runs once, before anything is written.  For m = 1 the
+        run is one pass of the gate's power in integer arithmetic mod p:
+        DFT^k by k mod 4, MUL(g)^k = MUL(g^k), PHASE(g)^k = PHASE(k g) and
+        ADD^k as x_t += k x_c, z_c -= k z_t.  For m > 1 the field-method
+        rule runs `times` times.
+        """
         f, xs, zs = self.field, self.xs, self.zs
         t = _col_index(op.target, self.n)
-        if op.kind == DFT:
-            for x, z in zip(xs, zs):
-                x[t], z[t] = z[t], f.neg(x[t])
-        elif op.kind == MUL:
+        kind, g, c = op.kind, None, None
+        if kind == MUL:
             g = _gamma_check(f, op)
             if g == 0:
                 raise NonInvertibleGammaError("MUL gamma must be invertible")
-            ginv = f.inv(g)
-            for x, z in zip(xs, zs):
-                x[t] = f.mul(ginv, x[t])
-                z[t] = f.mul(g, z[t])
-        elif op.kind == PHASE:
+        elif kind == PHASE:
             g = _gamma_check(f, op)
-            for x, z in zip(xs, zs):
-                z[t] = f.add(z[t], f.mul(g, x[t]))
-        elif op.kind == ADD:
+        elif kind == ADD:
             c = _col_index(op.control, self.n)
             if c == t:
                 raise IndexOutOfRangeError("ADD control and target must differ")
-            for x, z in zip(xs, zs):
-                x[t] = f.add(x[t], x[c])
-                z[c] = f.sub(z[c], z[t])
+        elif kind != DFT:
+            raise ValueError(f"unknown clifford op kind {kind!r}")
+        if not isinstance(times, int) or times < 0:
+            raise ValueError(f"times must be a non-negative integer, got {times!r}")
+        if f.m > 1:
+            for _ in range(times):
+                _field_rule(f, xs, zs, kind, t, g, c)
+            return self
+        p = f.p
+        if kind == DFT:
+            k = times % 4
+            if k == 1:
+                for x, z in zip(xs, zs):
+                    x[t], z[t] = z[t], -x[t] % p
+            elif k == 2:
+                for x, z in zip(xs, zs):
+                    x[t], z[t] = -x[t] % p, -z[t] % p
+            elif k == 3:
+                for x, z in zip(xs, zs):
+                    x[t], z[t] = -z[t] % p, x[t]
+        elif kind == MUL:
+            gk = pow(g, times, p)
+            if gk != 1:
+                gik = pow(gk, -1, p)
+                for x in xs:
+                    x[t] = gik * x[t] % p
+                for z in zs:
+                    z[t] = gk * z[t] % p
+        elif kind == PHASE:
+            gk = times * g % p
+            if gk:
+                for x, z in zip(xs, zs):
+                    if x[t]:
+                        z[t] = (z[t] + gk * x[t]) % p
         else:
-            raise ValueError(f"unknown clifford op kind {op.kind!r}")
+            k = times % p
+            if k:
+                for x in xs:
+                    if x[c]:
+                        x[t] = (x[t] + k * x[c]) % p
+                for z in zs:
+                    if z[t]:
+                        z[c] = (z[c] - k * z[t]) % p
         return self
+
+
+def _field_rule(f: GaloisField, xs, zs, kind: str, t: int, g, c):
+    """One application of a checked column rule through the field's methods
+    (m > 1): target column t, gamma g of MUL and PHASE, control column c of ADD."""
+    if kind == DFT:
+        for x, z in zip(xs, zs):
+            x[t], z[t] = z[t], f.neg(x[t])
+    elif kind == MUL:
+        ginv = f.inv(g)
+        for x, z in zip(xs, zs):
+            x[t] = f.mul(ginv, x[t])
+            z[t] = f.mul(g, z[t])
+    elif kind == PHASE:
+        for x, z in zip(xs, zs):
+            z[t] = f.add(z[t], f.mul(g, x[t]))
+    else:
+        for x, z in zip(xs, zs):
+            x[t] = f.add(x[t], x[c])
+            z[c] = f.sub(z[c], z[t])
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +372,28 @@ def apply_clifford(m: CheckMatrix, op: CliffordOp) -> CheckMatrix:
 
 
 def apply_ops(m: CheckMatrix, ops) -> CheckMatrix:
-    """Fold a mixed sequence of RowOp / CliffordOp over the matrix."""
+    """Fold a mixed sequence of RowOp / CliffordOp over the matrix.
+
+    A run of one CliffordOp object repeated back to back, as `inverse_ops`
+    and the reducer's repeated ADDs emit, is applied in one pass as the
+    gate's power.  Runs are found by identity, not equality: equal ops of
+    different types (gamma 2 and 2.0) need not pass the same checks.
+    """
     work = _Tableau(m)
+    run, times = None, 0
     for op in ops:
-        work.apply(op)
+        if op is run:
+            times += 1
+            continue
+        if run is not None:
+            work.clifford(run, times)
+            run = None
+        if isinstance(op, RowOp):
+            work.row_op(op)
+        else:
+            run, times = op, 1
+    if run is not None:
+        work.clifford(run, times)
     return work.freeze()
 
 

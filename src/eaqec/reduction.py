@@ -154,8 +154,13 @@ class _Reducer:
             self.row(row_op_addmul(dest, src, scalar % self.p))
 
     def add_times(self, ctl, tgt, times):
-        for _ in range(times % self.p):
-            self.gate(add(ctl, tgt))
+        """ADD(ctl -> tgt) times mod p times: one tableau pass, and one shared
+        op object logged once per repetition."""
+        k = times % self.p
+        if k:
+            op = add(ctl, tgt)
+            self.work.clifford(op, k)
+            self.ops.extend([op] * k)
 
     def x(self, r, col):
         return self.work.xs[r - 1][col - 1]

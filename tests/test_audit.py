@@ -105,13 +105,13 @@ def _corrupt(monkeypatch, method, kind, k, bad):
     rule = getattr(_Tableau, method)
     seen = [0]
 
-    def patched(self, op):
+    def patched(self, op, *times):
         if op.kind != kind:
-            return rule(self, op)
+            return rule(self, op, *times)
         seen[0] += 1
         if k is None or seen[0] == k:
             return bad(self, op)
-        return rule(self, op)
+        return rule(self, op, *times)
 
     monkeypatch.setattr(_Tableau, method, patched)
 

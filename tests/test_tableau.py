@@ -13,6 +13,7 @@ import pytest
 
 from eaqec import (
     CheckMatrix,
+    CliffordOp,
     RowOp,
     add,
     apply_clifford,
@@ -27,6 +28,7 @@ from eaqec import (
 from eaqec.checkmatrix import (
     ADDMUL,
     SWAP,
+    _Tableau,
     replay_steps,
     row_op_addmul,
     row_op_scale,
@@ -156,3 +158,68 @@ def test_encoding_replay_equals_step_by_step_replay_on_golden_corpus():
         *_, (_, last) = replay_steps(res.augmented, res.encoding_gates)
         assert apply_ops(res.augmented, res.encoding_gates) == last
         assert res.encoded == last
+
+
+RUN_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]   # q = 2, 3, 5, 7, 4, 9
+
+
+def _every_gate(field, n):
+    yield dft(1)
+    for g in range(1, field.q):
+        yield mul(g, 2)
+    for g in range(field.q):
+        yield phase(g, 3)
+    yield add(1, 3)
+    yield add(3, 2)
+
+
+@pytest.mark.parametrize("p,m", RUN_FIELDS)
+def test_a_run_equals_its_single_applications(p, m):
+    """clifford(op, k) is the k-th power of the rule: DFT by k mod 4, MUL(g^k),
+    PHASE(k g) and ADD by k for m = 1, the rule looped for m > 1."""
+    field = make_field(p, m)
+    rng = random.Random(31 * p + m)
+    matrix = _matrix(rng, field, 3, 6)
+    for op in _every_gate(field, 3):
+        top = 8 if op.kind == "DFT" else 2 * field.q + 1
+        single = _Tableau(matrix)
+        assert _Tableau(matrix).clifford(op, 0).freeze() == matrix
+        for k in range(1, top + 1):
+            single.clifford(op)
+            assert _Tableau(matrix).clifford(op, k).freeze() == single.freeze(), (op, k)
+            assert apply_ops(matrix, [op] * k) == single.freeze()
+
+
+@pytest.mark.parametrize("p,m", RUN_FIELDS)
+def test_a_bad_run_raises_like_one_op_and_writes_nothing(p, m):
+    field = make_field(p, m)
+    n = r = 3
+    matrix = _matrix(random.Random(p + 10 * m), field, n, r)
+    bad_ops = [(op, err) for op, err in _bad_ops(field, n, r) if not isinstance(op, RowOp)]
+    bad_ops += [(dft(0), IndexOutOfRangeError), (CliffordOp("T", 1), ValueError)]
+    for bad, error in bad_ops:
+        with pytest.raises(error) as once:
+            _Tableau(matrix).clifford(bad)
+        for k in (2, 3, 2 * field.q + 1):
+            work = _Tableau(matrix)
+            with pytest.raises(error) as run:
+                work.clifford(bad, k)
+            assert str(run.value) == str(once.value)
+            assert work.freeze() == matrix
+            with pytest.raises(error) as multi:
+                apply_ops(matrix, [bad] * k)
+            assert str(multi.value) == str(once.value)
+    for times in (-1, 1.0, None):
+        work = _Tableau(matrix)
+        with pytest.raises(ValueError):
+            work.clifford(dft(1), times)
+        assert work.freeze() == matrix
+
+
+def test_runs_are_found_by_identity_not_equality():
+    """mul(2.0, 1) equals mul(2, 1) but is not a valid op; a run of equal ops
+    must still check each distinct object."""
+    field = make_field(5)
+    matrix = _matrix(random.Random(5), field, 2, 2)
+    with pytest.raises(NonInvertibleGammaError):
+        apply_ops(matrix, [mul(2, 1), mul(2.0, 1)])
