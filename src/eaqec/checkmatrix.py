@@ -58,6 +58,8 @@ SCALE = "SCALE"
 # counts n, r; parsing enforces both
 MAX_Q = 2 ** 16
 MAX_N = 4096
+# largest Hilbert-space dimension the dense oracle builds
+MAX_DIM = 1024
 
 
 @dataclass(frozen=True, slots=True)

@@ -128,8 +128,12 @@ def _gate_json(g: CliffordOp) -> str:
 
 
 def circuit_to_json(circuit: Circuit) -> str:
-    """The version-1 document, byte for byte as `json.dumps(doc, indent=1)` + newline."""
-    gates = ",\n".join(map(_gate_json, circuit.gates))
+    """The version-1 document, byte for byte as `json.dumps(doc, indent=1)` + newline.
+
+    Each distinct gate object's text is built once, as in validation.
+    """
+    text = {i: _gate_json(g) for i, g in {id(g): g for g in circuit.gates}.items()}
+    gates = ",\n".join([text[id(g)] for g in circuit.gates])
     return "".join((
         f'{{\n "version": 1,\n "p": {circuit.p},\n "m": {circuit.m},\n',
         f' "n": {circuit.n},\n "c": {circuit.c},\n "gates": ',

@@ -17,11 +17,9 @@ import json
 import random
 import sys
 
-import numpy as np
-
 from . import __version__
 from .audit import Verdict, audit_random_ops, audit_reduction
-from .checkmatrix import CliffordOp, RowOp, parse_check_matrix
+from .checkmatrix import MAX_DIM, CliffordOp, RowOp, parse_check_matrix
 from .circuit import (
     circuit_to_json,
     synthesize_encoding_circuit,
@@ -38,7 +36,6 @@ from .errors import (
     NotConstructibleError,
     ParseError,
 )
-from .oracle import MAX_DIM, ebit_state, is_stabilized, pauli_unitary, stabilized_subspace_dim
 from .reduction import NORMALIZED, STRICT, ReductionResult, reduce_matrix
 
 EXIT_OK = 0
@@ -118,6 +115,7 @@ def cmd_reduce(args) -> int:
     result = reduce_matrix(matrix, mode=args.mode)
     verdicts = audit_reduction(result)
     if args.oracle:
+        from .oracle import stabilized_subspace_dim  # numpy only when asked for
         field = matrix.field
         total = matrix.n + result.c
         if field.q ** total <= MAX_DIM:
@@ -169,6 +167,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    import numpy as np
+
+    from .oracle import ebit_state, is_stabilized, pauli_unitary, stabilized_subspace_dim
     matrix = parse_check_matrix(_read(args.file))
     result = reduce_matrix(matrix, mode=args.mode)
     code = build_code(result)

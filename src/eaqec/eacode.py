@@ -152,7 +152,14 @@ def syndrome(code: EACode, error: Row, allow_bob: bool = False) -> Tuple[int, ..
 
 
 def is_correctable(code: EACode, errors: Sequence[Row]) -> bool:
-    """Pairwise criterion: differences lie in the isotropic span or are detected."""
+    """Pairwise criterion: differences lie in the isotropic span or are detected.
+
+    By bilinearity the syndrome of e_j - e_i is the difference of the two
+    syndromes, so a pair is undetected iff its syndromes are equal; one
+    product table serves every pair.  Within a class of equal syndromes
+    every difference lies in the isotropic span iff each member minus the
+    class's first does, so only those differences are built.
+    """
     errs = list(errors)
     pairs = len(errs) * (len(errs) + 1) // 2
     if pairs > PAIR_CAP:
@@ -160,21 +167,16 @@ def is_correctable(code: EACode, errors: Sequence[Row]) -> bool:
     f = code.field
     for e in errs:
         _check_alice_support(code, e)
-    gens = list(code.augmented.rows)
-    iso = [code.augmented.rows[i] for i in code.isotropic_rows]
-    iso_flat = [_flat(g) for g in iso]
-    for i in range(len(errs)):
-        for j in range(i + 1, len(errs)):
-            (x1, z1), (x2, z2) = errs[i], errs[j]
-            diff = (tuple(f.sub(a, b) for a, b in zip(x2, x1)),
-                    tuple(f.sub(a, b) for a, b in zip(z2, z1)))
-            if not any(_flat(diff)):
-                continue
-            if not in_centralizer(f, diff, gens):
-                continue  # detected and actively corrected
-            if f.m == 1 and in_span_mod_p(iso_flat, _flat(diff), f.p):
-                continue  # acts trivially on the code space
-            return False
+    first = {}  # syndrome -> the first error that has it
+    iso_flat = [_flat(code.augmented.rows[i]) for i in code.isotropic_rows]
+    for e, syn in zip(errs, product_table(f, errs, code.augmented.rows)):
+        e0 = first.setdefault(tuple(syn), e)
+        diff = [f.sub(a, b) for a, b in zip(_flat(e), _flat(e0))]
+        if not any(diff):
+            continue
+        if f.m == 1 and in_span_mod_p(iso_flat, diff, f.p):
+            continue  # acts trivially on the code space
+        return False
     return True
 
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .checkmatrix import ADD, DFT, MUL, PHASE, CliffordOp
+from .checkmatrix import ADD, DFT, MAX_DIM, MUL, PHASE, CliffordOp
 from .errors import (
     DimensionTooLargeError,
     NonCommutingGeneratorsError,
@@ -37,7 +37,6 @@ from .errors import (
 from .field import GaloisField
 from .pauli import Pauli, _as_row, rows_commute
 
-MAX_DIM = 1024
 ATOL = 1e-9
 
 

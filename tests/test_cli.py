@@ -139,6 +139,14 @@ def test_extension_field_input_is_an_input_error(fixture_path):
     assert run(["verify", fixture_path("f4_single.eacm")]) == 2
 
 
+def test_cli_import_does_not_load_numpy():
+    """Only `oracle` and `reduce --oracle` need the dense oracle and numpy."""
+    code = "import sys, eaqec, eaqec.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "eaqec.cli", "reduce", str(FIXTURES / "f5_pair.eacm")],

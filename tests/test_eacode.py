@@ -234,6 +234,87 @@ def test_pair_cap():
         is_correctable(code, errs)
 
 
+def _is_correctable_pairwise(code, errors):
+    """Reference: the pairwise definition, one difference and one row of
+    products per pair of errors."""
+    errs = list(errors)
+    pairs = len(errs) * (len(errs) + 1) // 2
+    if pairs > 10 ** 6:
+        raise TooLargeError(f"{pairs} pairs exceed the cap")
+    f = code.field
+    for x, z in errs:
+        if len(x) != code.n + code.c or any(x[code.n:]) or any(z[code.n:]):
+            raise ErrorOnBobQuditError("receiver qudits")
+    gens = list(code.augmented.rows)
+    iso_flat = [list(x) + list(z) for x, z in
+                (code.augmented.rows[i] for i in code.isotropic_rows)]
+    for i in range(len(errs)):
+        for j in range(i + 1, len(errs)):
+            (x1, z1), (x2, z2) = errs[i], errs[j]
+            diff = (tuple(f.sub(a, b) for a, b in zip(x2, x1)),
+                    tuple(f.sub(a, b) for a, b in zip(z2, z1)))
+            flat = list(diff[0]) + list(diff[1])
+            if not any(flat) or not in_centralizer(f, diff, gens):
+                continue
+            if in_span_mod_p(iso_flat, flat, f.p):
+                continue
+            return False
+    return True
+
+
+def _error_set(rng, code):
+    """Random low-weight errors, some shifted by an isotropic generator or by
+    a generator's sender part, so undetected pairs of both kinds occur."""
+    f, n = code.field, code.n
+    errs = []
+    for _ in range(rng.randint(1, 6)):
+        x, z = [0] * n, [0] * n
+        for q in rng.sample(range(n), min(n, rng.randint(1, 2))):
+            x[q], z[q] = rng.randrange(f.q), rng.randrange(f.q)
+        errs.append(alice_error(code, x, z))
+    for e in list(errs):
+        roll = rng.randrange(3)
+        if roll == 0 and code.a:
+            g = code.augmented.rows[rng.choice(code.isotropic_rows)]
+        elif roll == 1:
+            g = rng.choice(code.augmented.rows)
+            g = (g[0][:n] + (0,) * code.c, g[1][:n] + (0,) * code.c)
+        else:
+            continue
+        errs.append(tuple(tuple(f.add(a, b) for a, b in zip(u, v))
+                          for u, v in zip(e, g)))
+    return errs
+
+
+def test_is_correctable_agrees_with_the_pairwise_definition():
+    from conftest import random_instance
+    outcomes = set()
+    for p in (2, 3, 5, 7):
+        rng = random.Random(4400 + p)
+        for _ in range(40):
+            code = build_code(reduce_matrix(random_instance(rng, p), NORMALIZED))
+            for _ in range(3):
+                errs = _error_set(rng, code)
+                want = _is_correctable_pairwise(code, errs)
+                assert is_correctable(code, errs) is want
+                outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_is_correctable_checks_receiver_support_like_the_pairwise_definition(f5_matrix):
+    code = build_code(reduce_matrix(f5_matrix, STRICT))
+    e0 = alice_error(code)
+    bob = (e0[0][:-1] + (1,), e0[1])
+    short = (e0[0][:-1], e0[1])
+    for errs in ([e0, bob], [bob], [short, e0]):
+        with pytest.raises(ErrorOnBobQuditError):
+            _is_correctable_pairwise(code, errs)
+        with pytest.raises(ErrorOnBobQuditError):
+            is_correctable(code, errs)
+    with pytest.raises(TooLargeError):
+        _is_correctable_pairwise(code, [e0] * 2000)
+
+
 # --- classical import ---
 
 def test_css_import_commuting_pair():
