@@ -204,14 +204,14 @@ def _gamma_check(field: GaloisField, op: CliffordOp):
 class _Tableau:
     """Mutable working copy of a CheckMatrix: one list of ints per row side.
 
-    Built from a validated CheckMatrix, updated in place by `apply` and
-    turned back into a validated CheckMatrix by `freeze`, so entries are
-    checked once on the way in and once on the way out.  A column op costs
-    O(rows), however often it is repeated, and a row op O(n); over GF(p)
-    both work in integer arithmetic mod p, with no field-method call per
-    entry.  Every op is checked (indices, gamma, scalar) before anything
-    is written, with the same errors as the single-op functions below,
-    which are wrappers around this class.
+    Built from a validated CheckMatrix, updated in place by `row_op` and
+    `clifford` and turned back into a validated CheckMatrix by `freeze`, so
+    entries are checked once on the way in and once on the way out.  A
+    column op costs O(rows), however often it is repeated, and a row op
+    O(n); over GF(p) both work in integer arithmetic mod p, with no
+    field-method call per entry.  Every op is checked (indices, gamma,
+    scalar) before anything is written, with the same errors as the
+    single-op functions below, which are wrappers around this class.
     """
 
     __slots__ = ("field", "n", "xs", "zs")
@@ -234,9 +234,6 @@ class _Tableau:
         """Symplectic product of rows i and j (1-based)."""
         return symplectic_product(self.field, (self.xs[i - 1], self.zs[i - 1]),
                                   (self.xs[j - 1], self.zs[j - 1]))
-
-    def apply(self, op) -> "_Tableau":
-        return self.row_op(op) if isinstance(op, RowOp) else self.clifford(op)
 
     def row_op(self, op: RowOp) -> "_Tableau":
         """Generating-set operation; the generated group is unchanged."""
@@ -403,7 +400,11 @@ def replay_steps(m: CheckMatrix, ops):
     """Yield (op, matrix-after-op) pairs; useful for invariant auditing."""
     work = _Tableau(m)
     for op in ops:
-        yield op, work.apply(op).freeze()
+        if isinstance(op, RowOp):
+            work.row_op(op)
+        else:
+            work.clifford(op)
+        yield op, work.freeze()
 
 
 # ---------------------------------------------------------------------------
