@@ -4,7 +4,8 @@
 of the matrix.  They must agree with folding the public single-op
 functions, never write through to their input or to a snapshot already
 handed out, and fail on a bad op with the same error as the single-op
-call would.
+call would.  A column rule given a repetition count must equal that many
+single applications, and check as much as one.
 """
 
 import random
@@ -163,7 +164,7 @@ def test_encoding_replay_equals_step_by_step_replay_on_golden_corpus():
 RUN_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]   # q = 2, 3, 5, 7, 4, 9
 
 
-def _every_gate(field, n):
+def _every_gate(field):
     yield dft(1)
     for g in range(1, field.q):
         yield mul(g, 2)
@@ -180,7 +181,7 @@ def test_a_run_equals_its_single_applications(p, m):
     field = make_field(p, m)
     rng = random.Random(31 * p + m)
     matrix = _matrix(rng, field, 3, 6)
-    for op in _every_gate(field, 3):
+    for op in _every_gate(field):
         top = 8 if op.kind == "DFT" else 2 * field.q + 1
         single = _Tableau(matrix)
         assert _Tableau(matrix).clifford(op, 0).freeze() == matrix
