@@ -7,18 +7,27 @@ the tableau's own rules, which are what it audits, and checks each op as it
 is applied, at a cost that scales with what the op touched:
 
 * a column op on qudits T must leave every other column unchanged and give
-  field elements in T.  By bilinearity the change of the product of rows
-  i and j is the symplectic form of their T-entries before and after the
-  op, so every product is kept iff those 2|T|-entry pseudo-rows commute
-  pairwise: O(r^2 |T|) integer work per op instead of O(r^2 n).  Rows
-  that are zero on T before and after add nothing and are skipped.
+  field elements in T that keep every pairwise product.  The fast path
+  computes each touched column from the copy through the gate's local
+  2|T| x 2|T| map M on (x_T | z_T) (the table in `checkmatrix`), checked
+  once per (kind, gamma, p) to satisfy M^T Omega M = Omega mod p.  Columns
+  equal to M applied to the old ones are field elements and keep every
+  product, so O(r |T|) integer work settles the op.  Only when they differ
+  does the general check run: by bilinearity the change of the product of
+  rows i and j is the symplectic form of their T-entries before and after
+  the op, so every product is kept iff those 2|T|-entry pseudo-rows
+  commute pairwise, O(r^2 |T|).  Rows that are zero on T before and after
+  add nothing and are skipped.  Both paths give the same verdict.
 * a row op must satisfy its defining relation on the rows before it:
   SWAP exchanges two rows, ADDMUL adds lambda * src to dest != src, SCALE
   multiplies by lambda != 0 mod p, and every other row is unchanged.  Each
   of these is invertible, so the F_p row space is unchanged.
 
-Both checks compare whole rows against a snapshot, so a rule that writes
-where it should not is caught too.  Prime fields only, like the reduction.
+Both checks compare whole rows, at C speed, with a copy of the rows before
+the op that the check brings to the rows the op must give; so a rule that
+writes where it should not is caught too.  The copy is taken once and kept
+equal to the tableau: a passing op updates it only where it acts, and only
+after a failed op is it taken again.  Prime fields only, like the reduction.
 A failed `Verdict` names the first op that broke its invariant.
 """
 
@@ -26,11 +35,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 from .checkmatrix import (
     ADD,
     ADDMUL,
+    DFT,
+    MUL,
+    PHASE,
     SCALE,
     SWAP,
     CheckMatrix,
@@ -86,40 +99,105 @@ def _snapshot(work: _Tableau):
     return [x[:] for x in work.xs], [z[:] for z in work.zs]
 
 
-def _column_step(work: _Tableau, op: CliffordOp) -> Optional[str]:
-    """Apply a column op through the tableau; None iff it kept every invariant."""
+def _is_symplectic(matrix, p: int) -> bool:
+    """M^T Omega M = Omega mod p, Omega the form ((0, I), (-I, 0)) on (x_T | z_T)."""
+    k = len(matrix) // 2
+    cols = list(zip(*matrix))
+
+    def form(u, v):
+        return sum(u[i] * v[k + i] - u[k + i] * v[i] for i in range(k))
+
+    return all((form(u, v) - (b == a + k) + (a == b + k)) % p == 0
+               for a, u in enumerate(cols) for b, v in enumerate(cols))
+
+
+@lru_cache(maxsize=4096)
+def _local_map(kind: str, gamma: Optional[int], p: int):
+    """The gate's map on a row's entries (x_T | z_T), T = (target,) or
+    (target, control) for ADD, as a 2|T| x 2|T| matrix mod p; None if the
+    gate has no such map or the map is not symplectic."""
+    if kind == DFT:
+        matrix = ((0, 1), (p - 1, 0))
+    elif kind == MUL and gamma % p:
+        matrix = ((pow(gamma, -1, p), 0), (0, gamma % p))
+    elif kind == PHASE:
+        matrix = ((1, 0), (gamma % p, 1))
+    elif kind == ADD:
+        matrix = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, p - 1, 1))
+    else:
+        return None
+    return matrix if _is_symplectic(matrix, p) else None
+
+
+def _gate_map(op: CliffordOp, p: int):
+    """`_local_map` of the op, or None if its gamma is not an integer."""
+    if op.kind in (MUL, PHASE):
+        return _local_map(op.kind, op.gamma, p) if type(op.gamma) is int else None
+    return _local_map(op.kind, None, p)
+
+
+def _image(matrix, columns, p: int):
+    """M applied to every row's entries at once: column k of the result is
+    sum_j M[k][j] * columns[j] mod p."""
+    out = []
+    for coeffs in matrix:
+        (c, first), *rest = [(c, col) for c, col in zip(coeffs, columns) if c]
+        if len(rest) == 1:  # the one two-term column of ADD, in one pass
+            (d, second), = rest
+            out.append([(c * a + d * b) % p for a, b in zip(first, second)])
+            continue
+        acc = [c * v for v in first]
+        for d, col in rest:
+            acc = [a + d * v for a, v in zip(acc, col)]
+        out.append([a % p for a in acc])
+    return out
+
+
+def _column_step(work: _Tableau, rows, op: CliffordOp) -> Optional[str]:
+    """Apply a column op through the tableau; None iff it kept every invariant.
+
+    `rows` is the (xs, zs) copy of the tableau before the op; on a pass it
+    is updated to the rows after it.
+    """
     p = work.field.p
-    old_x, old_z = _snapshot(work)
+    old_x, old_z = rows
     work.clifford(op)
     xs, zs = work.xs, work.zs
     cols = [_col_index(op.target, work.n)]
     if op.kind == ADD:
         cols.append(_col_index(op.control, work.n))
+    old = [[x[t] for x in old_x] for t in cols] + [[z[t] for z in old_z] for t in cols]
     new_x = [[x[t] for x in xs] for t in cols]
     new_z = [[z[t] for z in zs] for t in cols]
-    # row i's pseudo-row (x'_T, x_T | z'_T, -z_T): the product of two of
-    # them is the change of the product of the two rows
-    half = 2 * len(cols)
-    pseudo = [(w[:half], w[half:]) for w in zip(
-        *new_x, *([x[t] for x in old_x] for t in cols),
-        *new_z, *([-z[t] for z in old_z] for t in cols)) if any(w)]
-    for t, nx, nz in zip(cols, new_x, new_z):  # the snapshot takes the touched entries
+    local = _gate_map(op, p) if len(set(cols)) == len(cols) else None
+    mapped = local is not None and _image(local, old, p) == new_x + new_z
+    for t, nx, nz in zip(cols, new_x, new_z):  # the copy takes the touched entries
         for ox, oz, a, b in zip(old_x, old_z, nx, nz):
             ox[t], oz[t] = a, b
     if old_x != xs or old_z != zs:
         return "changed a column it does not act on"
+    if mapped:
+        return None
     if not all(0 <= min(col, default=0) and max(col, default=0) < p
                for col in new_x + new_z):
         return "wrote an entry outside 0..p-1"
+    # row i's pseudo-row (x'_T, x_T | z'_T, -z_T): the product of two of
+    # them is the change of the product of the two rows
+    half = 2 * len(cols)
+    pseudo = [(w[:half], w[half:]) for w in zip(
+        *new_x, *old[:len(cols)], *new_z, *([-v for v in col] for col in old[len(cols):]))
+        if any(w)]
     if not rows_commute(work.field, pseudo):
         return "changed a pairwise symplectic product"
     return None
 
 
-def _row_step(work: _Tableau, op: RowOp) -> Optional[str]:
-    """Apply a row op through the tableau; None iff the rows obey the op's relation."""
+def _row_step(work: _Tableau, rows, op: RowOp) -> Optional[str]:
+    """Apply a row op through the tableau; None iff the rows obey the op's
+    relation on `rows`, the copy of the tableau before it, which on a pass
+    is updated to the rows after it."""
     p, r = work.field.p, work.row_count
-    expect_x, expect_z = _snapshot(work)
+    expect_x, expect_z = rows
     work.row_op(op)
     d = _row_index(op.dest, r)
     if op.kind == SWAP:
@@ -156,15 +234,18 @@ def _audit_ops(work: _Tableau, ops) -> Tuple[Verdict, Verdict]:
     """Apply and check every op; the first failure among the row ops and
     among the column ops, each OK if there is none."""
     row_space = symplectic = OK
+    rows = _snapshot(work)
     for index, op in enumerate(ops, start=1):
         if isinstance(op, RowOp):
-            reason = _row_step(work, op)
+            reason = _row_step(work, rows, op)
             if reason and row_space:
                 row_space = Verdict(False, index, str(op), reason)
         else:
-            reason = _column_step(work, op)
+            reason = _column_step(work, rows, op)
             if reason and symplectic:
                 symplectic = Verdict(False, index, str(op), reason)
+        if reason:  # the copy may differ from the tableau now
+            rows = _snapshot(work)
     return row_space, symplectic
 
 
