@@ -145,11 +145,14 @@ class CheckMatrix:
     rows: Tuple[Row, ...]
 
     def __post_init__(self):
+        f, n = self.field, self.n
+        q = f.q  # the elements are the ints 0..q-1, for every m
         for x, z in self.rows:
-            if len(x) != self.n or len(z) != self.n:
+            if len(x) != n or len(z) != n:
                 raise DimensionMismatchError("every row needs n entries on each side")
             for v in x + z:
-                self.field.check(v)
+                if type(v) is not int or not 0 <= v < q:
+                    raise EntryOutOfRangeError(f"{v!r} is not an element of GF({f.p}^{f.m})")
 
     @classmethod
     def from_rows(cls, field: GaloisField, rows: Sequence[Sequence[Sequence[int]]],
@@ -179,8 +182,7 @@ class CheckMatrix:
 
     def rows_independent(self) -> bool:
         """On-demand check that no nontrivial F_p-combination of rows vanishes."""
-        _, pivots = rref_mod_p(_prime_expanded_rows(self), self.field.p)
-        return len(pivots) == self.row_count
+        return len(echelon_form(self)[1]) == self.row_count
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +418,18 @@ def _prime_expanded_rows(m: CheckMatrix):
     return [prime_coordinates(m.field, x + z) for x, z in m.rows]
 
 
+def echelon_form(m: CheckMatrix):
+    """(rows, pivots) of the reduced echelon form of the rows over F_p; two
+    matrices on the same space span the same F_p-space iff the rows agree."""
+    rows, pivots = rref_mod_p(_prime_expanded_rows(m), m.field.p)
+    return tuple(map(tuple, rows)), pivots
+
+
 def row_space_equal(m1: CheckMatrix, m2: CheckMatrix) -> bool:
     """True iff the rows span the same F_p-space (phaseless group equality)."""
     if m1.field != m2.field or m1.n != m2.n:
         raise DimensionMismatchError("matrices live on different spaces")
-    p = m1.field.p
-    r1, _ = rref_mod_p(_prime_expanded_rows(m1), p)
-    r2, _ = rref_mod_p(_prime_expanded_rows(m2), p)
-    return r1 == r2
+    return echelon_form(m1)[0] == echelon_form(m2)[0]
 
 
 # ---------------------------------------------------------------------------

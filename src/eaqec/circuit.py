@@ -32,7 +32,7 @@ from .checkmatrix import (
     CheckMatrix,
     CliffordOp,
     apply_ops,
-    row_space_equal,
+    echelon_form,
 )
 from .errors import ParseError
 from .field import is_prime
@@ -110,7 +110,8 @@ def verify_encoding_circuit(result: ReductionResult, circuit: Circuit) -> bool:
         if x[n:] != ax[n:] or z[n:] != az[n:]:
             return False
     sender = CheckMatrix(field, n, tuple((x[:n], z[:n]) for x, z in encoded.rows))
-    return row_space_equal(sender, result.source) and rows_commute(field, encoded.rows)
+    return (echelon_form(sender)[0] == result.source_echelon
+            and rows_commute(field, encoded.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -282,7 +283,10 @@ def positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged,
+    and each command's function is bound to it here."""
     parser = argparse.ArgumentParser(
         prog="eaqec",
         description="Entanglement-assisted qudit stabilizer code construction")
@@ -336,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NotConstructibleError as exc:

@@ -50,6 +50,7 @@ from .checkmatrix import (
     add,
     apply_ops,
     dft,
+    echelon_form,
     mul,
     phase,
     row_op_addmul,
@@ -73,10 +74,12 @@ NORMALIZED = "normalized"
 class ReductionResult:
     """A reduction and the encoding derived from it.
 
-    `encoding_gates` and `encoded` are computed on first use and then kept
-    (the dataclass keeps its `__dict__` for them), so a plain reduction pays
-    for no replay and an encoding pays for exactly one.  Both are immutable,
-    so a result stays shareable.
+    `encoding_gates`, `encoded` and `source_echelon` are computed on first
+    use and then kept (the dataclass keeps its `__dict__` for them), so a
+    plain reduction pays for no replay and an encoding pays for exactly one.
+    `reduce_matrix` fills in `source_echelon` from its independence check,
+    and a copy made by `dataclasses.replace` computes its own.  All are
+    immutable, so a result stays shareable.
     """
 
     source: CheckMatrix
@@ -97,6 +100,11 @@ class ReductionResult:
     def encoded(self) -> CheckMatrix:
         """The augmented canonical rows pushed through `encoding_gates`."""
         return apply_ops(self.augmented, self.encoding_gates)
+
+    @cached_property
+    def source_echelon(self) -> Tuple[Tuple[int, ...], ...]:
+        """The source rows' reduced echelon form over F_p (`echelon_form`)."""
+        return echelon_form(self.source)[0]
 
     @property
     def params(self):
@@ -324,15 +332,18 @@ def reduce_matrix(matrix: CheckMatrix, mode: str = STRICT) -> ReductionResult:
     field = matrix.field
     if field.m != 1:
         raise NonPrimeFieldError("reduction is defined over prime fields only")
-    if not matrix.rows_independent():
+    echelon, pivots = echelon_form(matrix)
+    if len(pivots) != matrix.row_count:
         raise DependentRowsError("input rows are linearly dependent over F_p")
     canonical, ops, c = _Reducer(matrix, mode).run()
     a, k = code_params(matrix.n, matrix.row_count, c)
     if canonical.rows != _canonical_layout(field, matrix.n, c, a):
         raise ReductionFailedError("internal error: canonical layout violated")
-    return ReductionResult(
+    result = ReductionResult(
         source=matrix, canonical=canonical, oplog=tuple(ops), c=c, a=a, k=k,
         mode=mode, augmented=augment_ebits(canonical, c))
+    vars(result)["source_echelon"] = echelon
+    return result
 
 
 def augment_ebits(canonical: CheckMatrix, c: int) -> CheckMatrix:

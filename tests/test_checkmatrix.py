@@ -259,6 +259,23 @@ def test_rows_independent():
     assert CheckMatrix.from_rows(f4, [v, scaled]).rows_independent()
 
 
+def test_non_element_entry_is_an_eaqec_error():
+    f5 = make_field(5)
+    for bad in (5, -1, 1.0, "1", None):
+        with pytest.raises(EntryOutOfRangeError) as exc:
+            CheckMatrix.from_rows(f5, [((0, bad), (1, 2))])
+        assert str(exc.value) == f"{bad!r} is not an element of GF(5^1)"
+    with pytest.raises(EntryOutOfRangeError):
+        CheckMatrix.from_rows(make_field(2, 2), [((4,), (0,))])
+
+
+def test_bool_entry_is_rejected():
+    with pytest.raises(EntryOutOfRangeError, match="True is not an element"):
+        CheckMatrix.from_rows(make_field(5), [((True,), (0,))])
+    with pytest.raises(EntryOutOfRangeError, match="False is not an element"):
+        CheckMatrix.from_rows(make_field(5), [((0,), (False,))])
+
+
 def test_row_space_requires_same_space():
     m = f5_matrix()
     other = CheckMatrix.from_rows(make_field(7), [((0,) * 4, (0,) * 4)], n=4)

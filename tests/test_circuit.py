@@ -295,6 +295,34 @@ def test_encoding_is_replayed_once_and_shared(f5_matrix, monkeypatch):
     assert build_code(res).augmented is res.encoded
 
 
+def test_source_is_row_reduced_once_per_job(f5_matrix, monkeypatch):
+    from eaqec import checkmatrix
+    real, calls = checkmatrix.rref_mod_p, []
+
+    def counted(rows, p):
+        calls.append(len(rows))
+        return real(rows, p)
+
+    monkeypatch.setattr(checkmatrix, "rref_mod_p", counted)
+    res = reduce_matrix(f5_matrix, STRICT)
+    assert calls == [4]                      # the independence check
+    assert verify_encoding_circuit(res, synthesize_encoding_circuit(res))
+    assert calls == [4, 4]                   # the encoded sender rows only
+
+
+def test_replaced_source_is_checked_against_its_own_echelon_form():
+    rng = random.Random(78)
+    res = reduce_matrix(_full_rank(rng, 5, 6, 6), NORMALIZED)
+    other = _full_rank(rng, 5, 6, 6)
+    assert not row_space_equal(other, res.source)
+    moved = dataclasses.replace(res, source=other)
+    assert not verify_encoding_circuit(moved, synthesize_encoding_circuit(moved))
+    same = dataclasses.replace(res)
+    assert "source_echelon" not in vars(same)
+    assert verify_encoding_circuit(same, synthesize_encoding_circuit(same))
+    assert same.source_echelon == res.source_echelon
+
+
 def test_postcondition_catches_a_wrong_ebit_augmentation():
     # the Z partner of pair 1 gets +1 instead of p - 1 in its receiver column:
     # the sender part still spans the input, but the set no longer commutes

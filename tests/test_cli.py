@@ -275,3 +275,11 @@ def test_integer_options_take_ascii_digits_only(capsys, fixture_path, command, v
     assert got == code
     if code:
         assert capsys.readouterr().err.strip()
+
+
+def test_parser_is_built_once(capsys, fixture_path):
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        assert run(["css", fixture_path("hamming_f2.clsc")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[0] == out[1]
