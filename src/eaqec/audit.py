@@ -169,7 +169,7 @@ def _column_step(work: _Tableau, rows, op: CliffordOp) -> Optional[str]:
     old = [[x[t] for x in old_x] for t in cols] + [[z[t] for z in old_z] for t in cols]
     new_x = [[x[t] for x in xs] for t in cols]
     new_z = [[z[t] for z in zs] for t in cols]
-    local = _gate_map(op, p) if len(set(cols)) == len(cols) else None
+    local = _gate_map(op, p)
     mapped = local is not None and _image(local, old, p) == new_x + new_z
     for t, nx, nz in zip(cols, new_x, new_z):  # the copy takes the touched entries
         for ox, oz, a, b in zip(old_x, old_z, nx, nz):
