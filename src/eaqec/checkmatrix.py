@@ -180,10 +180,6 @@ class CheckMatrix:
         """Full antisymmetric Gram table of the rows over F_p."""
         return tuple(map(tuple, product_table(self.field, self.rows, self.rows)))
 
-    def rows_independent(self) -> bool:
-        """On-demand check that no nontrivial F_p-combination of rows vanishes."""
-        return len(echelon_form(self)[1]) == self.row_count
-
 
 # ---------------------------------------------------------------------------
 # the working tableau
@@ -413,23 +409,17 @@ def replay_steps(m: CheckMatrix, ops):
 # row-space comparison
 # ---------------------------------------------------------------------------
 
-def _prime_expanded_rows(m: CheckMatrix):
-    """Rows as F_p vectors; each GF(p^m) entry becomes m base-p digits."""
-    return [prime_coordinates(m.field, x + z) for x, z in m.rows]
-
-
-def echelon_form(m: CheckMatrix):
-    """(rows, pivots) of the reduced echelon form of the rows over F_p; two
-    matrices on the same space span the same F_p-space iff the rows agree."""
-    rows, pivots = rref_mod_p(_prime_expanded_rows(m), m.field.p)
-    return tuple(map(tuple, rows)), pivots
-
-
 def row_space_equal(m1: CheckMatrix, m2: CheckMatrix) -> bool:
-    """True iff the rows span the same F_p-space (phaseless group equality)."""
+    """True iff the rows span the same F_p-space (phaseless group equality).
+
+    Each GF(p^m) entry becomes its m base-p digits, and the two spaces are
+    equal iff the rows' reduced echelon forms over F_p agree.
+    """
     if m1.field != m2.field or m1.n != m2.n:
         raise DimensionMismatchError("matrices live on different spaces")
-    return echelon_form(m1)[0] == echelon_form(m2)[0]
+    f = m1.field
+    return (rref_mod_p([prime_coordinates(f, x + z) for x, z in m1.rows], f.p)[0]
+            == rref_mod_p([prime_coordinates(f, x + z) for x, z in m2.rows], f.p)[0])
 
 
 # ---------------------------------------------------------------------------

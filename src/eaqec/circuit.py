@@ -31,8 +31,9 @@ from .checkmatrix import (
     PHASE,
     CheckMatrix,
     CliffordOp,
+    RowOp,
     apply_ops,
-    echelon_form,
+    row_space_equal,
 )
 from .errors import ParseError
 from .field import is_prime
@@ -98,6 +99,12 @@ def verify_encoding_circuit(result: ReductionResult, circuit: Circuit) -> bool:
     which commute pairwise.  A circuit synthesized from this result shares
     its gate tuple, so its image is the cached `result.encoded`; any other
     circuit is replayed here.
+
+    The log certifies the row space: the canonical rows are R S C (logged
+    row ops R, source S, logged column ops C), so a synthesized circuit's
+    sender rows are exactly R S, and R is invertible (`_Tableau.row_op`
+    rejects SCALE 0 and ADDMUL onto its source).  Rows that differ from
+    R S, e.g. another basis of the same space, fall back to `row_space_equal`.
     """
     field, n = result.source.field, result.source.n
     if (circuit.p, circuit.m, circuit.n, circuit.c) != (field.p, field.m, n, result.c):
@@ -109,8 +116,10 @@ def verify_encoding_circuit(result: ReductionResult, circuit: Circuit) -> bool:
     for (x, z), (ax, az) in zip(encoded.rows, result.augmented.rows):
         if x[n:] != ax[n:] or z[n:] != az[n:]:
             return False
-    sender = CheckMatrix(field, n, tuple((x[:n], z[:n]) for x, z in encoded.rows))
-    return (echelon_form(sender)[0] == result.source_echelon
+    sender = tuple((x[:n], z[:n]) for x, z in encoded.rows)
+    logged = apply_ops(result.source, [op for op in result.oplog if isinstance(op, RowOp)])
+    return ((sender == logged.rows
+             or row_space_equal(CheckMatrix(field, n, sender), result.source))
             and rows_commute(field, encoded.rows))
 
 

@@ -186,15 +186,13 @@ def is_correctable(code: EACode, errors: Sequence[Row]) -> bool:
 
 def css_import(field: GaloisField, h_rows: Sequence[Sequence[int]]) -> CheckMatrix:
     """Doubled check matrix (H_i | 0) then (0 | H_i) from a parity-check matrix."""
-    rows = [tuple(int(v) for v in r) for r in h_rows]
+    rows = [tuple(r) for r in h_rows]
     if not rows or not rows[0]:
         raise EmptyMatrixError("parity-check matrix must have rows and columns")
     n = len(rows[0])
     for r in rows:
         if len(r) != n:
             raise EmptyMatrixError("parity-check rows must have equal length")
-        for v in r:
-            field.check(v)
     zero = (0,) * n
     out = [(r, zero) for r in rows] + [(zero, r) for r in rows]
     return CheckMatrix(field, n, tuple(out))

@@ -27,6 +27,11 @@ Modes:
 Every emitted operation is recorded; replaying the log over the input
 reproduces the canonical matrix bit for bit.  In either mode, 2c equals
 the F_p-rank of the input's antisymmetric Gram matrix.
+
+Dependent input rows need no elimination up front: pairs are always
+independent, so a dependent set empties a row in the isotropic sweep or
+runs it past column n, and both raise DependentRowsError.  Strict mode's
+NotConstructibleError needs an independent set, so it never fires first.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from .checkmatrix import (
     add,
     apply_ops,
     dft,
-    echelon_form,
     mul,
     phase,
     row_op_addmul,
@@ -69,17 +73,18 @@ from .errors import (
 STRICT = "strict"
 NORMALIZED = "normalized"
 
+_DEPENDENT = "input rows are linearly dependent over F_p"
+
 
 @dataclass(frozen=True)
 class ReductionResult:
     """A reduction and the encoding derived from it.
 
-    `encoding_gates`, `encoded` and `source_echelon` are computed on first
-    use and then kept (the dataclass keeps its `__dict__` for them), so a
-    plain reduction pays for no replay and an encoding pays for exactly one.
-    `reduce_matrix` fills in `source_echelon` from its independence check,
-    and a copy made by `dataclasses.replace` computes its own.  All are
-    immutable, so a result stays shareable.
+    `encoding_gates` and `encoded` are computed on first use and then kept
+    (the dataclass keeps its `__dict__` for them), so a plain reduction pays
+    for no replay and an encoding pays for exactly one; a copy made by
+    `dataclasses.replace` computes its own.  Both are immutable, so a result
+    stays shareable.
     """
 
     source: CheckMatrix
@@ -100,11 +105,6 @@ class ReductionResult:
     def encoded(self) -> CheckMatrix:
         """The augmented canonical rows pushed through `encoding_gates`."""
         return apply_ops(self.augmented, self.encoding_gates)
-
-    @cached_property
-    def source_echelon(self) -> Tuple[Tuple[int, ...], ...]:
-        """The source rows' reduced echelon form over F_p (`echelon_form`)."""
-        return echelon_form(self.source)[0]
 
     @property
     def params(self):
@@ -224,7 +224,7 @@ class _Reducer:
             else:
                 cz = next((c for c in range(t + 1, n + 1) if self.z(s, c) != 0), None)
                 if cz is None:
-                    raise DependentRowsError("generator row vanished during reduction")
+                    raise DependentRowsError(_DEPENDENT)
                 self.gate(dft(cz))
                 self.gate(add(cz, t))
         # scale the pivot to 1
@@ -273,7 +273,7 @@ class _Reducer:
         if self.z(s, t) == 0:
             cz = next((c for c in range(t + 1, n + 1) if self.z(s, c) != 0), None)
             if cz is None:
-                raise DependentRowsError("generator row vanished during reduction")
+                raise DependentRowsError(_DEPENDENT)
             self.gate(add(t, cz))
         zt = self.z(s, t)
         if zt != 1:
@@ -306,6 +306,8 @@ class _Reducer:
         c = pairs
         for idx in range(2 * c + 1, self.work.row_count + 1):
             t = c + (idx - 2 * c)
+            if t > self.n:  # more isotropic rows than n - c: r > n + c
+                raise DependentRowsError(_DEPENDENT)
             self.make_unit_z_row(idx, t)
             self.eliminate_column(None, idx, t, idx + 1)
         return self.work.freeze(), self.ops, c
@@ -332,18 +334,13 @@ def reduce_matrix(matrix: CheckMatrix, mode: str = STRICT) -> ReductionResult:
     field = matrix.field
     if field.m != 1:
         raise NonPrimeFieldError("reduction is defined over prime fields only")
-    echelon, pivots = echelon_form(matrix)
-    if len(pivots) != matrix.row_count:
-        raise DependentRowsError("input rows are linearly dependent over F_p")
     canonical, ops, c = _Reducer(matrix, mode).run()
     a, k = code_params(matrix.n, matrix.row_count, c)
     if canonical.rows != _canonical_layout(field, matrix.n, c, a):
         raise ReductionFailedError("internal error: canonical layout violated")
-    result = ReductionResult(
+    return ReductionResult(
         source=matrix, canonical=canonical, oplog=tuple(ops), c=c, a=a, k=k,
         mode=mode, augmented=augment_ebits(canonical, c))
-    vars(result)["source_echelon"] = echelon
-    return result
 
 
 def augment_ebits(canonical: CheckMatrix, c: int) -> CheckMatrix:

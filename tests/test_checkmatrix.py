@@ -247,18 +247,6 @@ def test_row_space_equal_extension_field():
     assert not row_space_equal(m, scaled)
 
 
-def test_rows_independent():
-    m = f5_matrix()
-    assert m.rows_independent()
-    doubled = CheckMatrix.from_rows(m.field, list(m.rows) + [m.rows[0]])
-    assert not doubled.rows_independent()
-    # over F_4, omega * row is independent of row over the prime subfield
-    f4 = make_field(2, 2)
-    v = ((2, 3), (0, 1))
-    scaled = ((f4.mul(2, 2), f4.mul(2, 3)), (f4.mul(2, 0), f4.mul(2, 1)))
-    assert CheckMatrix.from_rows(f4, [v, scaled]).rows_independent()
-
-
 def test_non_element_entry_is_an_eaqec_error():
     f5 = make_field(5)
     for bad in (5, -1, 1.0, "1", None):

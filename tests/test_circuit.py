@@ -295,19 +295,20 @@ def test_encoding_is_replayed_once_and_shared(f5_matrix, monkeypatch):
     assert build_code(res).augmented is res.encoded
 
 
-def test_source_is_row_reduced_once_per_job(f5_matrix, monkeypatch):
-    from eaqec import checkmatrix
-    real, calls = checkmatrix.rref_mod_p, []
+def test_no_row_reduction_on_a_jobs_path(f5_matrix, monkeypatch):
+    # dependence is found by the reducer and the row space certified by the
+    # log, so neither reduce nor the postcondition eliminates
+    from eaqec import checkmatrix, linalg
+    calls = []
 
     def counted(rows, p):
         calls.append(len(rows))
-        return real(rows, p)
+        return linalg.rref_mod_p(rows, p)
 
     monkeypatch.setattr(checkmatrix, "rref_mod_p", counted)
     res = reduce_matrix(f5_matrix, STRICT)
-    assert calls == [4]                      # the independence check
     assert verify_encoding_circuit(res, synthesize_encoding_circuit(res))
-    assert calls == [4, 4]                   # the encoded sender rows only
+    assert calls == []
 
 
 def test_replaced_source_is_checked_against_its_own_echelon_form():
@@ -318,9 +319,28 @@ def test_replaced_source_is_checked_against_its_own_echelon_form():
     moved = dataclasses.replace(res, source=other)
     assert not verify_encoding_circuit(moved, synthesize_encoding_circuit(moved))
     same = dataclasses.replace(res)
-    assert "source_echelon" not in vars(same)
     assert verify_encoding_circuit(same, synthesize_encoding_circuit(same))
-    assert same.source_echelon == res.source_echelon
+
+
+def test_rows_off_the_logged_basis_fall_back_to_the_rank_check(monkeypatch):
+    # an extra logged row swap keeps the encoding but moves R S, so the
+    # sender rows no longer match it and `row_space_equal` decides
+    rng = random.Random(79)
+    res = reduce_matrix(_full_rank(rng, 5, 6, 6), NORMALIZED)
+    swapped = dataclasses.replace(res, oplog=res.oplog + (row_op_swap(1, 2),))
+    assert swapped.encoding_gates == res.encoding_gates
+    real, calls = circuit_module.row_space_equal, []
+
+    def counted(m1, m2):
+        calls.append(m2)
+        return real(m1, m2)
+
+    monkeypatch.setattr(circuit_module, "row_space_equal", counted)
+    assert verify_encoding_circuit(swapped, synthesize_encoding_circuit(swapped))
+    assert calls == [swapped.source]
+    moved = dataclasses.replace(swapped, source=_full_rank(rng, 5, 6, 6))
+    assert not verify_encoding_circuit(moved, synthesize_encoding_circuit(moved))
+    assert calls == [swapped.source, moved.source]
 
 
 def test_postcondition_catches_a_wrong_ebit_augmentation():

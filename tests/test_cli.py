@@ -167,6 +167,17 @@ def test_out_of_scope_prime_exits_2_at_once(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", [["reduce"], ["circuit", "-o", "-"]],
+                         ids=["reduce", "circuit"])
+def test_dependent_rows_are_an_input_error(tmp_path, capsys, command):
+    # one qudit, one pair, and a third row: r = 3 > n + c = 2
+    path = tmp_path / "dependent.eacm"
+    path.write_text("EACM 3 1 1 3\n1 | 0\n0 | 1\n1 | 1\n")
+    assert run([command[0], path, *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "input error: input rows are linearly dependent over F_p\n")
+
+
 @pytest.mark.parametrize("header", ["EACM 5 1 1_0 0", "EACM +5 1 1 0", "EACM ٣ 1 1 0"])
 def test_non_ascii_digit_tokens_exit_2(tmp_path, capsys, header):
     path = tmp_path / "bad.eacm"

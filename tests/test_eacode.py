@@ -20,6 +20,7 @@ from eaqec import (
 from eaqec.errors import (
     BadGroupingError,
     EmptyMatrixError,
+    EntryOutOfRangeError,
     ErrorOnBobQuditError,
     NonPrimeFieldError,
     ParseError,
@@ -358,6 +359,11 @@ def test_css_import_empty_rejected():
         css_import(f, [()])
     with pytest.raises(EmptyMatrixError):
         css_import(f, [(1, 0), (1,)])
+
+
+def test_css_import_non_element_is_an_eaqec_error():
+    with pytest.raises(EntryOutOfRangeError, match=r"^5 is not an element of GF\(5\^1\)$"):
+        css_import(make_field(5), [[5, 1]])
 
 
 def test_parse_classical_clsc():

@@ -19,7 +19,7 @@ from eaqec import (
     symplectic_product,
     syndrome,
 )
-from eaqec.errors import DimensionMismatchError
+from eaqec.errors import DimensionMismatchError, EntryOutOfRangeError
 from eaqec.oracle import omega, pauli_unitary
 from eaqec.pauli import rows_commute
 
@@ -149,6 +149,12 @@ def test_dimension_mismatch():
                  lambda: syndrome(code, short, allow_bob=True)):
         with pytest.raises(DimensionMismatchError):
             call()
+
+
+@pytest.mark.parametrize("x", [(5,), (True,)], ids=["5", "bool"])
+def test_non_element_entry_is_an_eaqec_error(x):
+    with pytest.raises(EntryOutOfRangeError, match=r"is not an element of GF\(5\^1\)"):
+        Pauli(make_field(5), 1, 0, x, (0,))
 
 
 def test_str_rendering():

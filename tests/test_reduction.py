@@ -154,14 +154,38 @@ def test_residual_pair_with_product_p_minus_1_is_strict_failure():
     assert (res.c, res.a, res.k) == (1, 0, 1)
 
 
-def test_dependent_rows_rejected():
-    f = make_field(5)
-    m = CheckMatrix.from_rows(f, [
-        ((1, 2), (0, 1)),
-        ((2, 4), (0, 2)),
-    ])
-    with pytest.raises(DependentRowsError):
-        reduce_matrix(m, STRICT)
+def dependent_instance(kind: str, p: int, n: int, seed: int) -> CheckMatrix:
+    """Independent uniform rows over F_p with one dependent row inserted: a
+    zero row, a scaled copy of a row, or (kind "r > n + c") one more row
+    than a spanning set of 2n rows can take, since then c = n."""
+    rng = random.Random(seed)
+    r = 2 * n if kind == "r > n + c" else rng.randint(1, n)
+    while True:
+        rows = [[rng.randrange(p) for _ in range(2 * n)] for _ in range(r)]
+        if rank_mod_p(rows, p) == r:
+            break
+    if kind == "zero row":
+        extra = [0] * (2 * n)
+    elif kind == "duplicated row":
+        scalar, row = rng.randrange(1, p), rng.choice(rows)
+        extra = [scalar * v % p for v in row]
+    else:
+        extra = [rng.randrange(p) for _ in range(2 * n)]
+    rows.insert(rng.randint(0, r), extra)
+    return CheckMatrix.from_rows(make_field(p), [(row[:n], row[n:]) for row in rows], n=n)
+
+
+@pytest.mark.parametrize("mode", [STRICT, NORMALIZED])
+@pytest.mark.parametrize("kind,p,n,seed", [
+    ("zero row", 5, 4, 1), ("zero row", 2, 3, 2),
+    ("duplicated row", 7, 4, 3), ("duplicated row", 3, 5, 4),
+    ("r > n + c", 5, 3, 5), ("r > n + c", 2, 1, 6),
+])
+def test_dependent_rows_rejected(kind, p, n, seed, mode):
+    m = dependent_instance(kind, p, n, seed)
+    with pytest.raises(DependentRowsError) as exc:
+        reduce_matrix(m, mode)
+    assert str(exc.value) == "input rows are linearly dependent over F_p"
 
 
 def test_extension_field_rejected():
