@@ -6,6 +6,15 @@ commutation phases, ebit stabilization, and stabilized-subspace
 dimensions.  Dimensions are capped at 1024 and all comparisons use a
 1e-9 tolerance.
 
+Matrices are built by index arithmetic, not by per-entry field calls.
+Two q x q integer tables, add[a, b] = a + b and trmul[a, b] = tr(a b),
+are made once per field from the field's own `add`, `mul` and `trace`
+(never from `GaloisField.trace_form`, which the symbolic product kernel
+uses, so the oracle does not share its mistakes) and cached; q <= 1024
+keeps them small.  A cached big-endian digit grid per (q, n) lists every
+basis index's qudit values.  X_x Z_z sends |d> to w^(sum tr(z_i d_i))
+|d + x>, so every column of a Pauli is one table lookup per qudit.
+
 Two unitary constructors exist on purpose:
 
 * ``gate_unitary`` returns the literal textbook gate (Fourier, multiplier,
@@ -24,13 +33,17 @@ Two unitary constructors exist on purpose:
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .checkmatrix import ADD, DFT, MAX_DIM, MUL, PHASE, CliffordOp
 from .errors import (
+    DimensionMismatchError,
     DimensionTooLargeError,
+    EntryOutOfRangeError,
+    IndexOutOfRangeError,
     NonCommutingGeneratorsError,
     NotAPauliError,
 )
@@ -49,30 +62,43 @@ def omega(field: GaloisField) -> complex:
     return cmath.exp(2j * cmath.pi / field.p)
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=None)
+def _roots(field: GaloisField) -> np.ndarray:
+    """w^k for k in [0, p-1], the values a trace exponent can take."""
+    w = omega(field)
+    return _readonly(np.array([w ** k for k in range(field.p)], dtype=complex))
+
+
+@lru_cache(maxsize=None)
+def _tables(field: GaloisField):
+    """(add, trmul): q x q tables of a + b and tr(a b), from the field's own methods."""
+    q = field.q
+    _check_dim(q)
+    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)], dtype=np.intp)
+    trmul = np.array([[field.trace(field.mul(a, b)) for b in range(q)] for a in range(q)],
+                     dtype=np.intp)
+    return _readonly(add), _readonly(trmul)
+
+
+@lru_cache(maxsize=None)
+def _digit_grid(q: int, n: int) -> np.ndarray:
+    """(q^n, n) array of big-endian digits: qudit 1 is the most significant factor."""
+    _check_dim(q ** n)
+    weights = q ** np.arange(n - 1, -1, -1)
+    return _readonly(np.arange(q ** n)[:, None] // weights % q)
+
+
 # ---------------------------------------------------------------------------
 # single-qudit constructors
 # ---------------------------------------------------------------------------
 
-def shift_unitary(field: GaloisField, a: int) -> np.ndarray:
-    """X_a = sum_x |x+a><x|."""
-    q = field.q
-    u = np.zeros((q, q), dtype=complex)
-    for x in range(q):
-        u[field.add(x, a), x] = 1.0
-    return u
-
-
-def clock_unitary(field: GaloisField, b: int) -> np.ndarray:
-    """Z_b = diag(w^tr(b z))."""
-    w = omega(field)
-    return np.diag([w ** field.trace(field.mul(b, z)) for z in range(field.q)])
-
-
 def fourier_unitary(field: GaloisField) -> np.ndarray:
-    q, w = field.q, omega(field)
-    u = np.array([[w ** field.trace(field.mul(x, z)) for z in range(q)]
-                  for x in range(q)], dtype=complex)
-    return u / np.sqrt(q)
+    return _roots(field)[_tables(field)[1]] / np.sqrt(field.q)
 
 
 def multiplier_unitary(field: GaloisField, gamma: int) -> np.ndarray:
@@ -103,10 +129,9 @@ def phase_unitary(field: GaloisField, gamma: int) -> np.ndarray:
 def add_unitary(field: GaloisField) -> np.ndarray:
     """ADD on two qudits (control first): |x, y> -> |x, x+y>."""
     q = field.q
+    x, y = np.divmod(np.arange(q * q), q)
     u = np.zeros((q * q, q * q), dtype=complex)
-    for x in range(q):
-        for y in range(q):
-            u[x * q + field.add(x, y), x * q + y] = 1.0
+    u[x * q + _tables(field)[0][x, y], x * q + y] = 1.0
     return u
 
 
@@ -114,9 +139,15 @@ def add_unitary(field: GaloisField) -> np.ndarray:
 # n-qudit embedding
 # ---------------------------------------------------------------------------
 
+def _check_qudit(t: int, n: int):
+    if not 1 <= t <= n:
+        raise IndexOutOfRangeError(f"qudit {t} out of range 1..{n}")
+
+
 def _embed_single(field: GaloisField, u: np.ndarray, target: int, n: int) -> np.ndarray:
     q = field.q
     _check_dim(q ** n)
+    _check_qudit(target, n)
     out = np.eye(1, dtype=complex)
     for pos in range(1, n + 1):
         out = np.kron(out, u if pos == target else np.eye(q, dtype=complex))
@@ -128,49 +159,51 @@ def _embed_pair(field: GaloisField, u2: np.ndarray, a: int, b: int, n: int) -> n
     q = field.q
     dim = q ** n
     _check_dim(dim)
+    if a == b:
+        raise IndexOutOfRangeError("ADD control and target must differ")
+    _check_qudit(a, n)
+    _check_qudit(b, n)
+    digits = _digit_grid(q, n)
+    da, db = digits[:, a - 1], digits[:, b - 1]
+    wa, wb = q ** (n - a), q ** (n - b)
+    # column col holds u2[:, (da, db)] at the rows that replace da, db by every (x, y)
+    x, y = np.divmod(np.arange(q * q), q)
+    rows = (np.arange(dim) - da * wa - db * wb)[None, :] + (x * wa + y * wb)[:, None]
     out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        digs = _index_digits(col, q, n)
-        sub_col = digs[a - 1] * q + digs[b - 1]
-        for x in range(q):
-            for y in range(q):
-                amp = u2[x * q + y, sub_col]
-                if amp != 0:
-                    nd = list(digs)
-                    nd[a - 1], nd[b - 1] = x, y
-                    out[_digits_index(nd, q), col] += amp
+    out[rows, np.arange(dim)[None, :]] = u2[:, da * q + db]
     return out
 
 
-def _index_digits(idx: int, q: int, n: int):
-    """Big-endian digits: qudit 1 is the most significant factor."""
-    digs = []
-    for _ in range(n):
-        digs.append(idx % q)
-        idx //= q
-    return list(reversed(digs))
-
-
-def _digits_index(digs, q: int) -> int:
-    idx = 0
-    for d in digs:
-        idx = idx * q + d
-    return idx
-
-
 def pauli_unitary(field: GaloisField, g, n: Optional[int] = None) -> np.ndarray:
-    """Dense matrix of w^phase X_x Z_z (phase 0 for bare rows)."""
+    """Dense matrix of w^phase X_x Z_z (phase 0 for bare rows).
+
+    Column d holds w^(phase + sum tr(z_i d_i)) at row d + x.
+    """
     if isinstance(g, Pauli):
         x, z, ph = g.x, g.z, g.phase
     else:
         x, z = g
         ph = 0
     n = len(x) if n is None else n
-    _check_dim(field.q ** n)
-    out = np.eye(1, dtype=complex)
-    for xi, zi in zip(x, z):
-        out = np.kron(out, shift_unitary(field, xi) @ clock_unitary(field, zi))
-    return (omega(field) ** ph) * out
+    if len(x) != n or len(z) != n:
+        raise DimensionMismatchError(
+            f"x and z need length n = {n}, got {len(x)} and {len(z)}")
+    q = field.q
+    dim = q ** n
+    _check_dim(dim)
+    for v in (*x, *z):
+        if not 0 <= v < q:
+            raise EntryOutOfRangeError(f"{v!r} is not an element of GF({field.p}^{field.m})")
+    add, trmul = _tables(field)
+    digits = _digit_grid(q, n)
+    rows = np.zeros(dim, dtype=np.intp)
+    expo = np.full(dim, ph, dtype=np.intp)
+    for i in range(n):
+        rows = rows * q + add[digits[:, i], x[i]]
+        expo += trmul[z[i], digits[:, i]]
+    out = np.zeros((dim, dim), dtype=complex)
+    out[rows, np.arange(dim)] = _roots(field)[expo % field.p]
+    return out
 
 
 def gate_unitary(field: GaloisField, op, n: int = 1) -> np.ndarray:
@@ -227,37 +260,36 @@ def conjugate_to_pauli(field: GaloisField, u: np.ndarray, g,
     q = field.q
     dim = q ** n
     _check_dim(dim)
+    if np.shape(u) != (dim, dim):
+        raise DimensionMismatchError(f"unitary has shape {np.shape(u)}, want {(dim, dim)}")
     mat = u @ pauli_unitary(field, g, n) @ u.conj().T
     col0 = mat[:, 0]
     r0 = int(np.argmax(np.abs(col0)))
     if abs(col0[r0]) < 1e-6:
         raise NotAPauliError("conjugate has a vanishing first column")
-    x = tuple(_index_digits(r0, q, n))
+    x = tuple(_digit_grid(q, n)[r0].tolist())
     phase_factor = col0[r0]
-    # per-qudit z read-off: column |v e_i> has its nonzero entry scaled by w^tr(z_i v)
-    z = []
-    w = omega(field)
-    for i in range(1, n + 1):
-        traces = {}
-        for v in range(q):
-            digs = [0] * n
-            digs[i - 1] = v
-            col = _digits_index(digs, q)
-            row = _digits_index([field.add(a, b) for a, b in zip(digs, x)], q)
-            amp = mat[row, col]
-            if abs(amp) < 1e-6:
-                raise NotAPauliError("conjugate is missing a shift amplitude")
-            ratio = amp / phase_factor
-            expo = round((cmath.phase(ratio) / (2 * cmath.pi)) * field.p) % field.p
-            if abs(ratio - w ** expo) > 1e-6:
-                raise NotAPauliError("conjugate phase is not a p-th root of unity")
-            traces[v] = expo
-        cand = next((b for b in range(q)
-                     if all(field.trace(field.mul(b, v)) == traces[v] for v in range(q))),
-                    None)
-        if cand is None:
+    # z read-off: column |v e_i> holds w^tr(z_i v) times the factor at row |v e_i + x>;
+    # row i of each array below is qudit i, column v is the amplitude read for v
+    add, trmul = _tables(field)
+    v = np.arange(q)
+    weight = (q ** np.arange(n - 1, -1, -1))[:, None]
+    xs = np.array(x, dtype=np.intp)[:, None]
+    amp = mat[r0 + (add[v, xs] - xs) * weight, v * weight]
+    ratio = amp / phase_factor
+    missing = np.abs(amp) < 1e-6
+    expo = np.rint(np.angle(ratio) / (2 * np.pi) * field.p).astype(np.intp) % field.p
+    bad = missing | (np.abs(ratio - _roots(field)[expo]) > 1e-6)
+    match = (trmul == expo[:, None, :]).all(axis=2)   # match[i, b]: tr(b v) fits qudit i
+    failing = bad.any(axis=1) | ~match.any(axis=1)
+    if failing.any():
+        i = int(np.argmax(failing))
+        if not bad[i].any():
             raise NotAPauliError("no field element matches the observed phases")
-        z.append(cand)
+        if missing[i, np.argmax(bad[i])]:
+            raise NotAPauliError("conjugate is missing a shift amplitude")
+        raise NotAPauliError("conjugate phase is not a p-th root of unity")
+    z = match.argmax(axis=1).tolist()
     result = Pauli(field, n, 0, x, tuple(z))
     expected = phase_factor * pauli_unitary(field, result, n)
     if not np.allclose(mat, expected, atol=ATOL):
@@ -283,13 +315,10 @@ def is_stabilized(state: np.ndarray, op_matrix: np.ndarray) -> bool:
     return bool(np.linalg.norm(op_matrix @ state - state) <= ATOL)
 
 
-def _operator_order(u: np.ndarray, limit: int) -> int:
-    acc = np.eye(u.shape[0], dtype=complex)
-    for k in range(1, limit + 1):
-        acc = acc @ u
-        if np.allclose(acc, np.eye(u.shape[0]), atol=ATOL):
-            return k
-    raise NotAPauliError("operator has no small finite order")
+def _is_identity(m: np.ndarray) -> bool:
+    """np.allclose(m, I, atol=ATOL) without building I."""
+    return (np.allclose(m.diagonal(), 1, atol=ATOL)
+            and np.count_nonzero(np.abs(m) > ATOL) == m.shape[0])
 
 
 def stabilized_subspace_dim(field: GaloisField, generators: Sequence,
@@ -314,14 +343,19 @@ def stabilized_subspace_dim(field: GaloisField, generators: Sequence,
     _check_dim(dim, max_dim)
     if not rows_commute(field, [_as_row(field, g) for g in gens]):
         raise NonCommutingGeneratorsError("the generators do not commute pairwise")
-    proj = np.eye(dim, dtype=complex)
+    proj = None
     for g in gens:
         u = pauli_unitary(field, g, n)
-        order = _operator_order(u, 2 * field.p)
-        acc = np.zeros((dim, dim), dtype=complex)
-        power = np.eye(dim, dtype=complex)
-        for _ in range(order):
+        # acc = I + u + .. + u^(order-1), summed while the powers climb to I
+        acc = np.eye(dim, dtype=complex)
+        power, order = u, 1
+        while not _is_identity(power):
+            if order == 2 * field.p:
+                raise NotAPauliError("operator has no small finite order")
             acc += power
             power = power @ u
-        proj = proj @ (acc / order)
+            order += 1
+        del power
+        acc /= order
+        proj = acc if proj is None else proj @ acc
     return int(round(np.trace(proj).real))

@@ -1,16 +1,23 @@
+import cmath
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from eaqec import CheckMatrix, apply_clifford, make_field
+from eaqec import CheckMatrix, Pauli, apply_clifford, make_field
+from eaqec import oracle
 from eaqec.checkmatrix import add, dft, mul, phase
 from eaqec.errors import (
+    DimensionMismatchError,
     DimensionTooLargeError,
+    EntryOutOfRangeError,
+    IndexOutOfRangeError,
     NonCommutingGeneratorsError,
     NotAPauliError,
 )
 from eaqec.oracle import (
+    _tables,
     clifford_unitary,
     conjugate_to_pauli,
     ebit_state,
@@ -188,3 +195,198 @@ def test_reduced_instance_subspace_dimension_q2():
             break
     dim = stabilized_subspace_dim(f, list(res.augmented.rows), 7)
     assert dim == 2 ** res.k
+
+
+# --- table-built Paulis against the kron-built definition ---
+
+TABLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+def _kron_pauli_unitary(field, g, n):
+    """w^phase X_x Z_z as a kron chain of per-qudit shift @ clock matrices."""
+    if isinstance(g, Pauli):
+        x, z, ph = g.x, g.z, g.phase
+    else:
+        (x, z), ph = g, 0
+    q, w = field.q, omega(field)
+    out = np.eye(1, dtype=complex)
+    for xi, zi in zip(x, z):
+        shift = np.zeros((q, q), dtype=complex)
+        for d in range(q):
+            shift[field.add(d, xi), d] = 1.0
+        clock = np.diag([w ** field.trace(field.mul(zi, d)) for d in range(q)])
+        out = np.kron(out, shift @ clock)
+    return (w ** ph) * out
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS)
+def test_tables_match_field_arithmetic(p, m):
+    f = make_field(p, m)
+    add_t, trmul = _tables(f)
+    for a, b in itertools.product(range(f.q), repeat=2):
+        assert add_t[a, b] == f.add(a, b)
+        assert trmul[a, b] == f.trace(f.mul(a, b))
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS)
+def test_pauli_unitary_matches_kron_chain(p, m):
+    f = make_field(p, m)
+    for x, z, ph in itertools.product(range(f.q), range(f.q), range(p)):
+        g = Pauli(f, 1, ph, (x,), (z,))
+        assert np.abs(pauli_unitary(f, g) - _kron_pauli_unitary(f, g, 1)).max() <= 1e-12
+    rng = random.Random(f"kron:{p}:{m}")
+    for _ in range(40):
+        g = Pauli(f, 2, rng.randrange(p), tuple(rng.randrange(f.q) for _ in range(2)),
+                  tuple(rng.randrange(f.q) for _ in range(2)))
+        assert np.abs(pauli_unitary(f, g, 2) - _kron_pauli_unitary(f, g, 2)).max() <= 1e-12
+        assert np.abs(pauli_unitary(f, g.row, 2) - _kron_pauli_unitary(f, g.row, 2)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2)])
+def test_gate_set_equivalence_over_gf8_and_gf9(p, m):
+    # criterion 4's generator set: exhaustive at n = 1, a seeded row sample at n = 2
+    f = make_field(p, m)
+    rng = random.Random(f"gf{f.q}")
+    for n in (1, 2):
+        ops = []
+        for t in range(1, n + 1):
+            ops += [dft(t)] + [mul(g, t) for g in range(1, f.q)]
+            ops += [phase(g, t) for g in range(f.q)]
+        if n == 2:
+            ops += [add(1, 2), add(2, 1)]
+        every = [(flat[:n], flat[n:]) for flat in itertools.product(range(f.q), repeat=2 * n)]
+        for op in ops:
+            rows = every if n == 1 else rng.sample(every, 12)
+            u = clifford_unitary(f, op, n)
+            moved = apply_clifford(CheckMatrix.from_rows(f, rows, n=n), op)
+            for row, want in zip(rows, moved.rows):
+                got, ph = conjugate_to_pauli(f, u, row)
+                assert (got.x, got.z) == want, (op, row)
+                assert abs(abs(ph) - 1) <= 1e-9
+
+
+# --- NotAPauliError: every message, first failure in qudit-then-v order ---
+
+def _scalar_read_off(field, mat, n):
+    """The z read-off one amplitude at a time with field calls; returns the error text or None."""
+    q, w = field.q, omega(field)
+
+    def index(digs):
+        idx = 0
+        for d in digs:
+            idx = idx * q + d
+        return idx
+
+    col0 = mat[:, 0]
+    r0 = int(np.argmax(np.abs(col0)))
+    if abs(col0[r0]) < 1e-6:
+        return "conjugate has a vanishing first column"
+    x = [(r0 // q ** (n - 1 - i)) % q for i in range(n)]
+    z = []
+    for i in range(n):
+        traces = {}
+        for v in range(q):
+            digs = [0] * n
+            digs[i] = v
+            amp = mat[index([field.add(a, b) for a, b in zip(digs, x)]), index(digs)]
+            if abs(amp) < 1e-6:
+                return "conjugate is missing a shift amplitude"
+            ratio = amp / col0[r0]
+            expo = round((cmath.phase(ratio) / (2 * cmath.pi)) * field.p) % field.p
+            if abs(ratio - w ** expo) > 1e-6:
+                return "conjugate phase is not a p-th root of unity"
+            traces[v] = expo
+        cand = [b for b in range(q)
+                if all(field.trace(field.mul(b, v)) == traces[v] for v in range(q))]
+        if not cand:
+            return "no field element matches the observed phases"
+        z.append(cand[0])
+    want = col0[r0] * pauli_unitary(field, (tuple(x), tuple(z)), n)
+    if not np.allclose(mat, want, atol=1e-9):
+        return "conjugate deviates from the identified Pauli"
+    return None
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (2, 2), (5, 1)])
+def test_not_a_pauli_messages_follow_the_read_off_order(p, m, monkeypatch):
+    # conjugating by the identity returns whatever pauli_unitary gives, so a
+    # corrupted matrix for the input row reaches the read-off unchanged
+    f, n = make_field(p, m), 2
+    q = f.q
+    rng = random.Random(f"notapauli:{p}:{m}")
+    real = oracle.pauli_unitary
+    seen = set()
+    for trial in range(300):
+        g = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(2))
+        mat = real(f, g, n) * cmath.exp(1j * rng.random())
+        for _ in range(rng.randrange(1, 4)):
+            col = 0 if trial % 25 == 0 else rng.randrange(q ** n)
+            nz = np.flatnonzero(mat[:, col])
+            row = int(nz[0]) if nz.size else 0
+            kind = rng.randrange(4)
+            if kind == 0:
+                mat[:, col] = 0
+            elif kind == 1:
+                mat[row, col] *= cmath.exp(0.3j)
+            elif kind == 2:
+                mat[row, col] *= omega(f) ** rng.randrange(1, p)
+            else:
+                mat[rng.randrange(q ** n), col] += 0.5
+        want = _scalar_read_off(f, mat, n)
+        monkeypatch.setattr(oracle, "pauli_unitary",
+                            lambda fld, h, k, _m=mat: _m if h == g else real(fld, h, k))
+        if want is None:
+            got, _ = conjugate_to_pauli(f, np.eye(q ** n), g)
+        else:
+            with pytest.raises(NotAPauliError, match=want):
+                conjugate_to_pauli(f, np.eye(q ** n), g)
+        monkeypatch.setattr(oracle, "pauli_unitary", real)
+        seen.add(want)
+    assert seen >= {
+        "conjugate has a vanishing first column",
+        "conjugate is missing a shift amplitude",
+        "conjugate phase is not a p-th root of unity",
+        "no field element matches the observed phases",
+        "conjugate deviates from the identified Pauli",
+    }
+
+
+# --- lengths, entries and qudit indices ---
+
+def test_pauli_unitary_checks_lengths_against_n():
+    f3 = make_field(3)
+    with pytest.raises(DimensionMismatchError):
+        pauli_unitary(f3, ((1,), (0,)), 2)
+    with pytest.raises(DimensionMismatchError):
+        pauli_unitary(f3, ((1, 0), (0,)))
+    assert np.array_equal(pauli_unitary(f3, ((), ()), 0), [[1]])
+
+
+def test_stabilized_subspace_dim_checks_lengths_against_n():
+    with pytest.raises(DimensionMismatchError):
+        stabilized_subspace_dim(make_field(3), [((1,), (0,))], 2)
+
+
+def test_conjugate_to_pauli_checks_lengths_against_n():
+    f3 = make_field(3)
+    with pytest.raises(DimensionMismatchError):
+        conjugate_to_pauli(f3, clifford_unitary(f3, dft(1), 2), ((1,), (0,)), 2)
+    with pytest.raises(DimensionMismatchError):
+        conjugate_to_pauli(f3, clifford_unitary(f3, dft(1), 1), ((1, 0), (0, 0)))
+
+
+def test_pauli_unitary_rejects_entries_outside_the_field():
+    with pytest.raises(EntryOutOfRangeError):
+        pauli_unitary(make_field(3), ((3,), (0,)))
+    with pytest.raises(EntryOutOfRangeError):
+        pauli_unitary(make_field(2, 2), ((0,), (-1,)))
+
+
+def test_embedding_checks_qudit_indices():
+    f = make_field(3)
+    with pytest.raises(IndexOutOfRangeError):
+        clifford_unitary(f, add(1, 1), 2)
+    with pytest.raises(IndexOutOfRangeError):
+        clifford_unitary(f, add(1, 3), 2)
+    with pytest.raises(IndexOutOfRangeError):
+        gate_unitary(f, dft(0), 2)
