@@ -192,10 +192,12 @@ def _scalar_domain_check(field: GaloisField, scalar: int):
             f"scalar {scalar!r} outside the allowed domain 0..{limit - 1}")
 
 
-def _gamma_check(field: GaloisField, op: CliffordOp):
-    g = op.gamma
+def _gamma_check(field: GaloisField, kind: str, g):
+    """A MUL or PHASE gamma: an int field element, nonzero for MUL."""
     if not isinstance(g, int) or not 0 <= g < field.q:
-        raise NonInvertibleGammaError(f"{op.kind} gamma {g!r} is not a field element")
+        raise NonInvertibleGammaError(f"{kind} gamma {g!r} is not a field element")
+    if kind == MUL and g == 0:
+        raise NonInvertibleGammaError("MUL gamma must be invertible")
     return g
 
 
@@ -278,12 +280,8 @@ class _Tableau:
         f, xs, zs = self.field, self.xs, self.zs
         t = _col_index(op.target, self.n)
         kind, g, c = op.kind, None, None
-        if kind == MUL:
-            g = _gamma_check(f, op)
-            if g == 0:
-                raise NonInvertibleGammaError("MUL gamma must be invertible")
-        elif kind == PHASE:
-            g = _gamma_check(f, op)
+        if kind in (MUL, PHASE):
+            g = _gamma_check(f, kind, op.gamma)
         elif kind == ADD:
             c = _col_index(op.control, self.n)
             if c == t:

@@ -168,9 +168,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    import numpy as np
-
-    from .oracle import ebit_state, is_stabilized, pauli_unitary, stabilized_subspace_dim
+    from .oracle import (ebit_state, is_stabilized, pauli_unitary, paulis_commute,
+                         stabilized_subspace_dim)
     matrix = parse_check_matrix(_read(args.file))
     result = reduce_matrix(matrix, mode=args.mode)
     code = build_code(result)
@@ -182,15 +181,13 @@ def cmd_oracle(args) -> int:
         print(f"skipped: dimension {dim} exceeds --max-dim {max_dim}")
         return EXIT_OK
     failures = []
-    aug = result.augmented
-    # dense abelianness of the augmented canonical generators
-    mats = [pauli_unitary(field, row, total_qudits) for row in aug.rows]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not np.allclose(mats[i] @ mats[j], mats[j] @ mats[i], atol=1e-9):
+    rows = list(result.augmented.rows)
+    # abelianness of the augmented canonical generators, as exact operator products
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            if not paulis_commute(field, rows[i], rows[j], total_qudits):
                 failures.append(f"generators {i + 1} and {j + 1} do not commute densely")
-    dim_found = stabilized_subspace_dim(field, list(aug.rows), total_qudits,
-                                        max_dim=max_dim)
+    dim_found = stabilized_subspace_dim(field, rows, total_qudits, max_dim=max_dim)
     expected = field.q ** code.k
     print(f"stabilized subspace dimension: {dim_found} (expected q^k = {expected})")
     if dim_found != expected:

@@ -3,8 +3,8 @@
 Builds the generalized Pauli and Clifford gates as explicit complex
 matrices and checks the symbolic layers against them: conjugation rules,
 commutation phases, ebit stabilization, and stabilized-subspace
-dimensions.  Dimensions are capped at 1024 and all comparisons use a
-1e-9 tolerance.
+dimensions.  Dimensions are capped at 1024 and floating-point
+comparisons use a 1e-9 tolerance.
 
 Matrices are built by index arithmetic, not by per-entry field calls.
 Two q x q integer tables, add[a, b] = a + b and trmul[a, b] = tr(a b),
@@ -14,6 +14,15 @@ uses, so the oracle does not share its mistakes) and cached; q <= 1024
 keeps them small.  A cached big-endian digit grid per (q, n) lists every
 basis index's qudit values.  X_x Z_z sends |d> to w^(sum tr(z_i d_i))
 |d + x>, so every column of a Pauli is one table lookup per qudit.
+
+A Pauli is a monomial matrix, one root of unity per column, and the
+oracle keeps it as two integer arrays, a permutation and a phase exponent
+mod p (`_monomial`); the dense matrix (`pauli_unitary`) is a scatter of
+them.  Products and powers of Paulis are exact array compositions, so
+commutation and operator orders are decided without a tolerance.
+Conjugation applies the Pauli to U as a column gather, and
+`stabilized_subspace_dim` applies each eigenprojector to the running
+projector as row gathers, with no dense matrix product.
 
 Two unitary constructors exist on purpose:
 
@@ -38,7 +47,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .checkmatrix import ADD, DFT, MAX_DIM, MUL, PHASE, CliffordOp
+from .checkmatrix import ADD, DFT, MAX_DIM, MUL, PHASE, CliffordOp, _gamma_check
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -102,8 +111,7 @@ def fourier_unitary(field: GaloisField) -> np.ndarray:
 
 
 def multiplier_unitary(field: GaloisField, gamma: int) -> np.ndarray:
-    if gamma == 0:
-        raise NotAPauliError("multiplier gamma must be invertible")
+    _gamma_check(field, MUL, gamma)
     q = field.q
     u = np.zeros((q, q), dtype=complex)
     for y in range(q):
@@ -112,6 +120,7 @@ def multiplier_unitary(field: GaloisField, gamma: int) -> np.ndarray:
 
 
 def phase_unitary(field: GaloisField, gamma: int) -> np.ndarray:
+    _gamma_check(field, PHASE, gamma)
     q = field.q
     if gamma == 0:
         return np.eye(q, dtype=complex)
@@ -174,10 +183,11 @@ def _embed_pair(field: GaloisField, u2: np.ndarray, a: int, b: int, n: int) -> n
     return out
 
 
-def pauli_unitary(field: GaloisField, g, n: Optional[int] = None) -> np.ndarray:
-    """Dense matrix of w^phase X_x Z_z (phase 0 for bare rows).
+def _monomial(field: GaloisField, g, n: Optional[int] = None):
+    """(rows, expo): column d of w^phase X_x Z_z holds w^expo[d] at row rows[d].
 
-    Column d holds w^(phase + sum tr(z_i d_i)) at row d + x.
+    Every generalized Pauli is a monomial matrix, so these two integer
+    arrays (expo reduced mod p) are the whole operator.
     """
     if isinstance(g, Pauli):
         x, z, ph = g.x, g.z, g.phase
@@ -189,21 +199,35 @@ def pauli_unitary(field: GaloisField, g, n: Optional[int] = None) -> np.ndarray:
         raise DimensionMismatchError(
             f"x and z need length n = {n}, got {len(x)} and {len(z)}")
     q = field.q
-    dim = q ** n
-    _check_dim(dim)
+    _check_dim(q ** n)
     for v in (*x, *z):
         if not 0 <= v < q:
             raise EntryOutOfRangeError(f"{v!r} is not an element of GF({field.p}^{field.m})")
     add, trmul = _tables(field)
     digits = _digit_grid(q, n)
-    rows = np.zeros(dim, dtype=np.intp)
-    expo = np.full(dim, ph, dtype=np.intp)
-    for i in range(n):
-        rows = rows * q + add[digits[:, i], x[i]]
-        expo += trmul[z[i], digits[:, i]]
-    out = np.zeros((dim, dim), dtype=complex)
-    out[rows, np.arange(dim)] = _roots(field)[expo % field.p]
+    rows = add[digits, np.array(x, dtype=np.intp)] @ q ** np.arange(n - 1, -1, -1)
+    expo = (trmul[np.array(z, dtype=np.intp), digits].sum(axis=1) + ph) % field.p
+    return rows, expo
+
+
+def pauli_unitary(field: GaloisField, g, n: Optional[int] = None) -> np.ndarray:
+    """Dense matrix of w^phase X_x Z_z (phase 0 for bare rows).
+
+    Column d holds w^(phase + sum tr(z_i d_i)) at row d + x.
+    """
+    rows, expo = _monomial(field, g, n)
+    out = np.zeros((rows.size, rows.size), dtype=complex)
+    out[rows, np.arange(rows.size)] = _roots(field)[expo]
     return out
+
+
+def paulis_commute(field: GaloisField, a, b, n: Optional[int] = None) -> bool:
+    """Whether a b == b a, compared exactly as (rows, expo) products."""
+    ra, ea = _monomial(field, a, n)
+    rb, eb = _monomial(field, b, n)
+    # column d of a b holds w^(eb[d] + ea[rb[d]]) at row ra[rb[d]]
+    return bool(np.array_equal(ra[rb], rb[ra])
+                and np.array_equal((eb + ea[rb]) % field.p, (ea + eb[ra]) % field.p))
 
 
 def gate_unitary(field: GaloisField, op, n: int = 1) -> np.ndarray:
@@ -223,6 +247,8 @@ def gate_unitary(field: GaloisField, op, n: int = 1) -> np.ndarray:
 
 def clifford_unitary(field: GaloisField, op: CliffordOp, n: int = 1) -> np.ndarray:
     """The unitary whose U g U+ conjugation realizes op's column rule."""
+    if op.kind in (MUL, PHASE):
+        _gamma_check(field, op.kind, op.gamma)   # before inv, neg or sqrt wraps it
     if op.kind == DFT:
         return _embed_single(field, fourier_unitary(field).conj().T, op.target, n)
     if op.kind == MUL:
@@ -257,12 +283,25 @@ def conjugate_to_pauli(field: GaloisField, u: np.ndarray, g,
         n = g.n
     elif n is None:
         n = len(g[0])
-    q = field.q
-    dim = q ** n
+    dim = field.q ** n
     _check_dim(dim)
     if np.shape(u) != (dim, dim):
         raise DimensionMismatchError(f"unitary has shape {np.shape(u)}, want {(dim, dim)}")
-    mat = u @ pauli_unitary(field, g, n) @ u.conj().T
+    rows, expo = _monomial(field, g, n)
+    # column d of U g is U[:, rows[d]] w^expo[d]
+    mat = (u[:, rows] * _roots(field)[expo]) @ u.conj().T
+    x, z, phase_factor = _identify(field, mat, n)
+    return Pauli(field, n, 0, x, z), phase_factor
+
+
+def _identify(field: GaloisField, mat: np.ndarray, n: int):
+    """(x, z, factor) with mat = factor X_x Z_z, or NotAPauliError.
+
+    x is the row of column 0's largest entry and factor that entry; z is
+    read from the shift amplitudes of the columns |v e_i>, qudit by qudit
+    and v by v, and the first failure in that order names the error.
+    """
+    q = field.q
     col0 = mat[:, 0]
     r0 = int(np.argmax(np.abs(col0)))
     if abs(col0[r0]) < 1e-6:
@@ -289,12 +328,24 @@ def conjugate_to_pauli(field: GaloisField, u: np.ndarray, g,
         if missing[i, np.argmax(bad[i])]:
             raise NotAPauliError("conjugate is missing a shift amplitude")
         raise NotAPauliError("conjugate phase is not a p-th root of unity")
-    z = match.argmax(axis=1).tolist()
-    result = Pauli(field, n, 0, x, tuple(z))
-    expected = phase_factor * pauli_unitary(field, result, n)
-    if not np.allclose(mat, expected, atol=ATOL):
+    z = tuple(match.argmax(axis=1).tolist())
+    rows, expo = _monomial(field, (x, z), n)
+    if not _on_monomial(mat, rows, phase_factor * _roots(field)[expo]):
         raise NotAPauliError("conjugate deviates from the identified Pauli")
-    return result, phase_factor
+    return x, z, phase_factor
+
+
+def _on_monomial(mat: np.ndarray, rows: np.ndarray, want: np.ndarray) -> bool:
+    """np.allclose(mat, M, atol=ATOL) for the monomial M with M[rows[d], d] = want[d].
+
+    On the support |mat - want| <= ATOL + 1e-5 |want|; off it |mat| <= ATOL.
+    """
+    cols = np.arange(rows.size)
+    if not (np.abs(mat[rows, cols] - want) <= ATOL + 1e-5 * np.abs(want)).all():
+        return False
+    off = np.abs(mat)
+    off[rows, cols] = 0.0
+    return bool((off <= ATOL).all())
 
 
 # ---------------------------------------------------------------------------
@@ -315,19 +366,16 @@ def is_stabilized(state: np.ndarray, op_matrix: np.ndarray) -> bool:
     return bool(np.linalg.norm(op_matrix @ state - state) <= ATOL)
 
 
-def _is_identity(m: np.ndarray) -> bool:
-    """np.allclose(m, I, atol=ATOL) without building I."""
-    return (np.allclose(m.diagonal(), 1, atol=ATOL)
-            and np.count_nonzero(np.abs(m) > ATOL) == m.shape[0])
-
-
 def stabilized_subspace_dim(field: GaloisField, generators: Sequence,
                             n: Optional[int] = None,
                             max_dim: int = MAX_DIM) -> int:
     """Rank of the product of generator eigenprojectors (1/ord) sum g^j.
 
     For r independent commuting generators on N qudits over prime q this
-    equals q^(N-r).
+    equals q^(N-r).  Each eigenprojector is applied to the running
+    projector as a sum of row gathers, one per power of g, so no dense
+    matrix product is formed; the order is found exactly, when the
+    (rows, expo) arrays of the power return to the identity's.
     """
     gens = list(generators)
     if not gens:
@@ -343,19 +391,23 @@ def stabilized_subspace_dim(field: GaloisField, generators: Sequence,
     _check_dim(dim, max_dim)
     if not rows_commute(field, [_as_row(field, g) for g in gens]):
         raise NonCommutingGeneratorsError("the generators do not commute pairwise")
-    proj = None
+    p, roots, ident = field.p, _roots(field), np.arange(dim)
+    proj = np.eye(dim, dtype=complex)
     for g in gens:
-        u = pauli_unitary(field, g, n)
-        # acc = I + u + .. + u^(order-1), summed while the powers climb to I
-        acc = np.eye(dim, dtype=complex)
-        power, order = u, 1
-        while not _is_identity(power):
-            if order == 2 * field.p:
+        rows_g, expo_g = _monomial(field, g, n)
+        # sum_j g^j = sum_j g^-j over a whole cycle, and row d of g^-j proj is
+        # w^-expo[d] proj[rows[d]] when column d of g^j is w^expo[d] at row rows[d]
+        acc = proj.copy()
+        rows, expo, order = rows_g, expo_g, 1
+        while expo.any() or not np.array_equal(rows, ident):
+            if order == 2 * p:
                 raise NotAPauliError("operator has no small finite order")
-            acc += power
-            power = power @ u
+            term = proj[rows]
+            term *= roots[-expo % p][:, None]
+            acc += term
+            del term                 # proj, acc and one term: three arrays at most
+            rows, expo = rows_g[rows], (expo + expo_g[rows]) % p
             order += 1
-        del power
         acc /= order
-        proj = acc if proj is None else proj @ acc
+        proj = acc
     return int(round(np.trace(proj).real))

@@ -14,6 +14,7 @@ from eaqec.errors import (
     EntryOutOfRangeError,
     IndexOutOfRangeError,
     NonCommutingGeneratorsError,
+    NonInvertibleGammaError,
     NotAPauliError,
 )
 from eaqec.oracle import (
@@ -308,17 +309,16 @@ def _scalar_read_off(field, mat, n):
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (2, 2), (5, 1)])
-def test_not_a_pauli_messages_follow_the_read_off_order(p, m, monkeypatch):
-    # conjugating by the identity returns whatever pauli_unitary gives, so a
-    # corrupted matrix for the input row reaches the read-off unchanged
+def test_not_a_pauli_messages_follow_the_read_off_order(p, m):
+    # `_identify` is the read-off that conjugate_to_pauli runs on U g U+, so a
+    # corrupted Pauli matrix handed to it directly takes the conjugate's path
     f, n = make_field(p, m), 2
     q = f.q
     rng = random.Random(f"notapauli:{p}:{m}")
-    real = oracle.pauli_unitary
     seen = set()
     for trial in range(300):
         g = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(2))
-        mat = real(f, g, n) * cmath.exp(1j * rng.random())
+        mat = pauli_unitary(f, g, n) * cmath.exp(1j * rng.random())
         for _ in range(rng.randrange(1, 4)):
             col = 0 if trial % 25 == 0 else rng.randrange(q ** n)
             nz = np.flatnonzero(mat[:, col])
@@ -333,14 +333,11 @@ def test_not_a_pauli_messages_follow_the_read_off_order(p, m, monkeypatch):
             else:
                 mat[rng.randrange(q ** n), col] += 0.5
         want = _scalar_read_off(f, mat, n)
-        monkeypatch.setattr(oracle, "pauli_unitary",
-                            lambda fld, h, k, _m=mat: _m if h == g else real(fld, h, k))
         if want is None:
-            got, _ = conjugate_to_pauli(f, np.eye(q ** n), g)
+            oracle._identify(f, mat, n)
         else:
             with pytest.raises(NotAPauliError, match=want):
-                conjugate_to_pauli(f, np.eye(q ** n), g)
-        monkeypatch.setattr(oracle, "pauli_unitary", real)
+                oracle._identify(f, mat, n)
         seen.add(want)
     assert seen >= {
         "conjugate has a vanishing first column",
@@ -390,3 +387,155 @@ def test_embedding_checks_qudit_indices():
         clifford_unitary(f, add(1, 3), 2)
     with pytest.raises(IndexOutOfRangeError):
         gate_unitary(f, dft(0), 2)
+
+
+# --- monomial subspace dimension against the dense-matmul reference ---
+
+def _dense_subspace_dim(field, gens, n):
+    """The projector product by dense matmuls: powers climb until allclose to I."""
+    dim = field.q ** n
+    proj = np.eye(dim, dtype=complex)
+    for g in gens:
+        u = pauli_unitary(field, g, n)
+        acc = np.eye(dim, dtype=complex)
+        power, order = u, 1
+        while not np.allclose(power, np.eye(dim), atol=1e-9):
+            assert order < 2 * field.p
+            acc += power
+            power = power @ u
+            order += 1
+        proj = proj @ (acc / order)
+    return int(round(np.trace(proj).real))
+
+
+def _commuting_set(rng, f, n, size):
+    """Seeded commuting Paulis with phases: random rows kept while they commute."""
+    from eaqec.pauli import rows_commute
+    rows = []
+    while len(rows) < size:
+        row = tuple(tuple(rng.randrange(f.q) for _ in range(n)) for _ in range(2))
+        if rows_commute(f, rows + [row]):
+            rows.append(row)
+    if rng.random() < 0.5:
+        rows.append(rows[0])                       # a repeated generator
+    return [Pauli(f, n, rng.choice((0, 0, rng.randrange(f.p))), x, z) for x, z in rows]
+
+
+# (p, m, n, sets): small sets at every q, one set near the 1024 cap per field
+SUBSPACE_CASES = [(2, 1, 4, 12), (2, 1, 10, 1), (3, 1, 3, 10), (3, 1, 6, 1),
+                  (2, 2, 2, 10), (2, 2, 5, 1), (5, 1, 2, 10), (5, 1, 4, 1),
+                  (7, 1, 2, 6), (7, 1, 3, 1), (3, 2, 2, 6), (3, 2, 3, 1)]
+
+
+@pytest.mark.parametrize("p,m,n,sets", SUBSPACE_CASES)
+def test_subspace_dim_matches_dense_reference(p, m, n, sets):
+    f = make_field(p, m)
+    rng = random.Random(f"subspace:{p}:{m}:{n}")
+    for _ in range(sets):
+        gens = _commuting_set(rng, f, n, rng.randrange(1, min(n, 3) + 1))
+        assert stabilized_subspace_dim(f, gens) == _dense_subspace_dim(f, gens, n)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
+def test_subspace_dim_phased_and_order_four_generators(p, m):
+    f, n = make_field(p, m), 2
+    cases = [
+        [Pauli(f, n, 1, (0, 0), (0, 0))],                           # w I fixes nothing
+        [Pauli(f, n, 0, (0, 0), (0, 0)), Pauli(f, n, 0, (0, 1), (0, 0))],  # I has order 1
+        [Pauli(f, n, 0, (1, 0), (1, 0))],                           # (XZ)^2 = -I at p = 2
+        [Pauli(f, n, 0, (1, 1), (1, 1)), Pauli(f, n, 0, (1, 1), (1, 1))],
+        [Pauli(f, n, p - 1, (0, 1), (0, 0)), Pauli(f, n, 0, (1, 0), (0, 0))],
+    ]
+    for gens in cases:
+        assert stabilized_subspace_dim(f, gens) == _dense_subspace_dim(f, gens, n), gens
+    assert stabilized_subspace_dim(f, cases[0]) == 0
+    assert stabilized_subspace_dim(f, cases[1]) == f.q ** n // p   # X_1 keeps 1/p
+
+
+# --- the identified Pauli checked on its support, against np.allclose ---
+
+@pytest.mark.parametrize("p,m,n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 2, 1)])
+def test_support_check_agrees_with_allclose(p, m, n):
+    f = make_field(p, m)
+    dim = f.q ** n
+    rng = random.Random(f"support:{p}:{m}:{n}")
+    verdicts = set()
+    for _ in range(200):
+        g = tuple(tuple(rng.randrange(f.q) for _ in range(n)) for _ in range(2))
+        pf = cmath.exp(2j * cmath.pi * rng.random()) * rng.choice((1.0, 0.5, 1e-3))
+        want_mat = pf * pauli_unitary(f, g, n)
+        rows, expo = oracle._monomial(f, g, n)
+        want = pf * oracle._roots(f)[expo]
+        mat = want_mat.copy()
+        for _ in range(rng.randrange(1, 4)):
+            d = rng.randrange(dim)
+            scale = rng.choice((0.99, 1.01, 0.5, 2.0))
+            turn = cmath.exp(2j * cmath.pi * rng.random())
+            if rng.random() < 0.5:                # on the support: 1e-9 + 1e-5 |want|
+                mat[rows[d], d] += scale * (1e-9 + 1e-5 * abs(want[d])) * turn
+            else:                                 # off it: 1e-9
+                r = (rows[d] + rng.randrange(1, dim)) % dim
+                mat[r, d] += scale * 1e-9 * turn
+        got = oracle._on_monomial(mat, rows, want)
+        assert got == np.allclose(mat, want_mat, atol=1e-9)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+# --- exact commutation against dense products ---
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
+def test_paulis_commute_matches_dense_products(p, m):
+    f = make_field(p, m)
+    n = 3 if f.q <= 3 else 2
+    rng = random.Random(f"commute:{p}:{m}")
+    outcomes = set()
+    for _ in range(40):
+        a, b = (Pauli(f, n, rng.randrange(p), tuple(rng.randrange(f.q) for _ in range(n)),
+                      tuple(rng.randrange(f.q) for _ in range(n))) for _ in range(2))
+        u, v = pauli_unitary(f, a), pauli_unitary(f, b)
+        got = oracle.paulis_commute(f, a, b)
+        assert got == np.allclose(u @ v, v @ u, atol=1e-9)
+        assert got == oracle.paulis_commute(f, a.row, b.row, n)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+# --- gamma range: the tableau's rule in every gate constructor ---
+
+def test_gate_constructors_reject_gammas_outside_the_field():
+    f5, f9 = make_field(5), make_field(3, 2)
+    with pytest.raises(NonInvertibleGammaError):
+        oracle.multiplier_unitary(f5, 7)
+    with pytest.raises(NonInvertibleGammaError):
+        oracle.multiplier_unitary(f5, 0)
+    with pytest.raises(NonInvertibleGammaError):
+        oracle.phase_unitary(f9, 9)
+    with pytest.raises(NonInvertibleGammaError):
+        oracle.phase_unitary(f5, -1)
+    with pytest.raises(NonInvertibleGammaError):
+        clifford_unitary(f5, mul(7, 1), 1)       # used to build MUL(2)'s unitary
+    with pytest.raises(NonInvertibleGammaError):
+        clifford_unitary(f5, phase(-1, 1), 1)
+    with pytest.raises(NonInvertibleGammaError):
+        gate_unitary(f9, phase(9, 1), 1)
+    with pytest.raises(NonInvertibleGammaError):
+        gate_unitary(f5, mul(5, 1), 1)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 2), (3, 2)])
+def test_oracle_and_tableau_reject_the_same_gammas(p, m):
+    f = make_field(p, m)
+    tableau = CheckMatrix.from_rows(f, [((1,), (1,))], n=1)
+    for op in (mul, phase):
+        for gamma in (*range(-2, f.q + 3), 1.0, "1", None, True):
+            outcomes = []
+            for build in (lambda o: apply_clifford(tableau, o),
+                          lambda o: clifford_unitary(f, o, 1),
+                          lambda o: gate_unitary(f, o, 1)):
+                try:
+                    build(op(gamma, 1))
+                    outcomes.append(None)
+                except NonInvertibleGammaError as exc:
+                    outcomes.append(str(exc))
+            assert len(set(outcomes)) == 1, (op, gamma, outcomes)
