@@ -223,6 +223,8 @@ def pauli_unitary(field: GaloisField, g, n: Optional[int] = None) -> np.ndarray:
 
 def paulis_commute(field: GaloisField, a, b, n: Optional[int] = None) -> bool:
     """Whether a b == b a, compared exactly as (rows, expo) products."""
+    if n is None:
+        n = a.n if isinstance(a, Pauli) else len(a[0])
     ra, ea = _monomial(field, a, n)
     rb, eb = _monomial(field, b, n)
     # column d of a b holds w^(eb[d] + ea[rb[d]]) at row ra[rb[d]]

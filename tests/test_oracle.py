@@ -499,6 +499,8 @@ def test_paulis_commute_matches_dense_products(p, m):
         assert got == oracle.paulis_commute(f, a.row, b.row, n)
         outcomes.add(got)
     assert outcomes == {True, False}
+    with pytest.raises(DimensionMismatchError):
+        oracle.paulis_commute(f, ((0,) * n, (0,) * n), ((0,) * (n + 1), (0,) * (n + 1)))
 
 
 # --- gamma range: the tableau's rule in every gate constructor ---
