@@ -29,6 +29,7 @@ digits only; q = p^m must not exceed 2^16, and n, r must not exceed 4096.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -427,30 +428,26 @@ def row_space_equal(m1: CheckMatrix, m2: CheckMatrix) -> bool:
 def _tokenize(text: str):
     """Yield (token, line, column) with comments stripped; 1-based locations."""
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        i, length = 0, len(line)
-        while i < length:
-            if line[i].isspace():
-                i += 1
-                continue
-            start = i
-            while i < length and not line[i].isspace():
-                i += 1
-            yield line[start:i], ln, start + 1
+        # runs of \S end at exactly the characters str.isspace accepts
+        for tok in re.finditer(r"\S+", raw.split("#", 1)[0]):
+            yield tok.group(), ln, tok.start() + 1
 
 
 class _TokenStream:
+    """The tokens of a text, read lazily with one token of lookahead."""
+
     def __init__(self, text):
-        self.toks = list(_tokenize(text))
-        self.pos = 0
+        self._toks = _tokenize(text)
+        self._ahead = next(self._toks, None)
+        self._last = (None, 1, 1)
 
     def next(self, what):
-        if self.pos >= len(self.toks):
-            last = self.toks[-1] if self.toks else (None, 1, 1)
+        tok = self._ahead
+        if tok is None:  # point at the last token of the input
             raise ParseError(f"unexpected end of input, expected {what}",
-                             line=last[1], column=last[2])
-        tok = self.toks[self.pos]
-        self.pos += 1
+                             line=self._last[1], column=self._last[2])
+        self._last = tok
+        self._ahead = next(self._toks, None)
         return tok
 
     def next_int(self, what):
@@ -464,13 +461,9 @@ class _TokenStream:
         raise ParseError(f"expected {what}, got {tok!r}", line=ln, column=col)
 
     def finish(self):
-        if not self.exhausted:
-            tok, ln, col = self.next("")
+        if self._ahead is not None:
+            tok, ln, col = self._ahead
             raise ParseError(f"trailing token {tok!r}", line=ln, column=col)
-
-    @property
-    def exhausted(self):
-        return self.pos >= len(self.toks)
 
 
 def _read_header(ts: _TokenStream, magics=("EACM",)):

@@ -26,6 +26,7 @@ from typing import Tuple
 from .checkmatrix import (
     ADD,
     DFT,
+    MAX_N,
     MAX_Q,
     MUL,
     PHASE,
@@ -173,6 +174,8 @@ def circuit_from_json(text: str) -> Circuit:
     if m != 1 or p > MAX_Q or not is_prime(p):
         raise ParseError(f"circuits act over a prime field GF(p) with p <= {MAX_Q}; "
                          f"got p={p}, m={m}")
+    if not 1 <= n <= MAX_N or not 0 <= c <= n:
+        raise ParseError(f"circuits need 1 <= n <= {MAX_N} and 0 <= c <= n; got n={n}, c={c}")
     raw_gates = doc.get("gates")
     if not isinstance(raw_gates, list):
         raise ParseError(f"'gates' must be a list, got {raw_gates!r}")

@@ -7,13 +7,17 @@ dimensions.  Dimensions are capped at 1024 and floating-point
 comparisons use a 1e-9 tolerance.
 
 Matrices are built by index arithmetic, not by per-entry field calls.
-Two q x q integer tables, add[a, b] = a + b and trmul[a, b] = tr(a b),
-are made once per field from the field's own `add`, `mul` and `trace`
-(never from `GaloisField.trace_form`, which the symbolic product kernel
-uses, so the oracle does not share its mistakes) and cached; q <= 1024
-keeps them small.  A cached big-endian digit grid per (q, n) lists every
-basis index's qudit values.  X_x Z_z sends |d> to w^(sum tr(z_i d_i))
-|d + x>, so every column of a Pauli is one table lookup per qudit.
+Three q x q integer tables, add[a, b] = a + b, mul[a, b] = a b and
+trmul[a, b] = tr(a b), are made once per field from the field's own
+`add`, `mul` and `trace` (never from `GaloisField.trace_form`, which the
+symbolic product kernel uses, so the oracle does not share its mistakes)
+and cached; q <= 1024 keeps them small, and trmul = tr[mul] takes only q
+trace calls.  A cached big-endian digit grid per (q, n) lists every basis
+index's qudit values.  X_x Z_z sends |d> to w^(sum tr(z_i d_i)) |d + x>,
+so every column of a Pauli is one table lookup per qudit; the Fourier,
+multiplier and phase gates read the same tables.  One embedding, `_embed`,
+places a local gate on any tuple of distinct qudits by scattering its
+columns through the digit grid.
 
 A Pauli is a monomial matrix, one root of unity per column, and the
 oracle keeps it as two integer arrays, a permutation and a phase exponent
@@ -85,13 +89,13 @@ def _roots(field: GaloisField) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _tables(field: GaloisField):
-    """(add, trmul): q x q tables of a + b and tr(a b), from the field's own methods."""
+    """(add, mul, trmul): q x q tables of a + b, a b and tr(a b), from the field's own methods."""
     q = field.q
     _check_dim(q)
     add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)], dtype=np.intp)
-    trmul = np.array([[field.trace(field.mul(a, b)) for b in range(q)] for a in range(q)],
-                     dtype=np.intp)
-    return _readonly(add), _readonly(trmul)
+    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.intp)
+    trace = np.array([field.trace(a) for a in range(q)], dtype=np.intp)
+    return _readonly(add), _readonly(mul), _readonly(trace[mul])
 
 
 @lru_cache(maxsize=None)
@@ -107,15 +111,15 @@ def _digit_grid(q: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def fourier_unitary(field: GaloisField) -> np.ndarray:
-    return _roots(field)[_tables(field)[1]] / np.sqrt(field.q)
+    return _roots(field)[_tables(field)[2]] / np.sqrt(field.q)
 
 
 def multiplier_unitary(field: GaloisField, gamma: int) -> np.ndarray:
     _gamma_check(field, MUL, gamma)
     q = field.q
     u = np.zeros((q, q), dtype=complex)
-    for y in range(q):
-        u[field.mul(gamma, y), y] = 1.0
+    # int(): a bool gamma passes the check, and numpy would read it as a mask
+    u[_tables(field)[1][int(gamma)], np.arange(q)] = 1.0
     return u
 
 
@@ -124,14 +128,14 @@ def phase_unitary(field: GaloisField, gamma: int) -> np.ndarray:
     q = field.q
     if gamma == 0:
         return np.eye(q, dtype=complex)
+    _, mul, trmul = _tables(field)
+    y = np.arange(q)
     if field.p != 2:
-        w = omega(field)
-        half = field.inv(field.add(1, 1))
-        diag = [w ** field.trace(field.neg(field.mul(half, field.mul(gamma, field.mul(y, y)))))
-                for y in range(q)]
-        return np.diag(diag).astype(complex)
+        half_g = mul[field.inv(field.add(1, 1)), int(gamma)]
+        return np.diag(_roots(field)[-trmul[half_g, mul[y, y]] % field.p])
     g0 = field.sqrt(gamma)
-    d = np.diag([(-1j) ** field.wgt(y) for y in range(q)])
+    wgt = (trmul[:, list(field.self_dual_basis())] != 0).sum(axis=1)
+    d = np.diag(np.array([1, -1j, -1, 1j])[wgt % 4])
     return multiplier_unitary(field, field.inv(g0)) @ d
 
 
@@ -148,39 +152,32 @@ def add_unitary(field: GaloisField) -> np.ndarray:
 # n-qudit embedding
 # ---------------------------------------------------------------------------
 
-def _check_qudit(t: int, n: int):
-    if not 1 <= t <= n:
-        raise IndexOutOfRangeError(f"qudit {t} out of range 1..{n}")
-
-
-def _embed_single(field: GaloisField, u: np.ndarray, target: int, n: int) -> np.ndarray:
-    q = field.q
-    _check_dim(q ** n)
-    _check_qudit(target, n)
-    out = np.eye(1, dtype=complex)
-    for pos in range(1, n + 1):
-        out = np.kron(out, u if pos == target else np.eye(q, dtype=complex))
-    return out
-
-
-def _embed_pair(field: GaloisField, u2: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    """Embed a two-qudit gate (first factor = control a, second = target b)."""
+def _embed(field: GaloisField, u: np.ndarray, qudits: Sequence[int], n: int) -> np.ndarray:
+    """u on the distinct 1-based `qudits` of n, its first factor on qudits[0]."""
     q = field.q
     dim = q ** n
     _check_dim(dim)
-    if a == b:
-        raise IndexOutOfRangeError("ADD control and target must differ")
-    _check_qudit(a, n)
-    _check_qudit(b, n)
-    digits = _digit_grid(q, n)
-    da, db = digits[:, a - 1], digits[:, b - 1]
-    wa, wb = q ** (n - a), q ** (n - b)
-    # column col holds u2[:, (da, db)] at the rows that replace da, db by every (x, y)
-    x, y = np.divmod(np.arange(q * q), q)
-    rows = (np.arange(dim) - da * wa - db * wb)[None, :] + (x * wa + y * wb)[:, None]
+    if len(set(qudits)) != len(qudits):
+        raise IndexOutOfRangeError(f"qudits {tuple(qudits)} must differ")
+    for t in qudits:
+        if not isinstance(t, int) or not 1 <= t <= n:
+            raise IndexOutOfRangeError(f"qudit {t!r} out of range 1..{n}")
+    cols = np.array(qudits, dtype=np.intp) - 1
+    k = cols.size
+    digits = _digit_grid(q, n)[:, cols]          # every basis index's digits on `qudits`
+    weights = q ** (n - 1 - cols)
+    local = digits @ q ** np.arange(k - 1, -1, -1)
+    # column d holds u[:, local[d]] at the rows that replace d's digits on
+    # `qudits` by every local row index's digits
+    rows = (np.arange(dim) - digits @ weights)[None, :] + (_digit_grid(q, k) @ weights)[:, None]
     out = np.zeros((dim, dim), dtype=complex)
-    out[rows, np.arange(dim)[None, :]] = u2[:, da * q + db]
+    out[rows, np.arange(dim)[None, :]] = u[:, local]
     return out
+
+
+def _qudits(op: CliffordOp) -> Tuple[int, ...]:
+    """The qudits op acts on, in the order of its local matrix's factors."""
+    return (op.control, op.target) if op.kind == ADD else (op.target,)
 
 
 def _monomial(field: GaloisField, g, n: Optional[int] = None):
@@ -203,7 +200,7 @@ def _monomial(field: GaloisField, g, n: Optional[int] = None):
     for v in (*x, *z):
         if not 0 <= v < q:
             raise EntryOutOfRangeError(f"{v!r} is not an element of GF({field.p}^{field.m})")
-    add, trmul = _tables(field)
+    add, _, trmul = _tables(field)
     digits = _digit_grid(q, n)
     rows = add[digits, np.array(x, dtype=np.intp)] @ q ** np.arange(n - 1, -1, -1)
     expo = (trmul[np.array(z, dtype=np.intp), digits].sum(axis=1) + ph) % field.p
@@ -237,14 +234,16 @@ def gate_unitary(field: GaloisField, op, n: int = 1) -> np.ndarray:
     if not isinstance(op, CliffordOp):
         return pauli_unitary(field, op, n)
     if op.kind == DFT:
-        return _embed_single(field, fourier_unitary(field), op.target, n)
-    if op.kind == MUL:
-        return _embed_single(field, multiplier_unitary(field, op.gamma), op.target, n)
-    if op.kind == PHASE:
-        return _embed_single(field, phase_unitary(field, op.gamma), op.target, n)
-    if op.kind == ADD:
-        return _embed_pair(field, add_unitary(field), op.control, op.target, n)
-    raise ValueError(f"unknown op kind {op.kind!r}")
+        u = fourier_unitary(field)
+    elif op.kind == MUL:
+        u = multiplier_unitary(field, op.gamma)
+    elif op.kind == PHASE:
+        u = phase_unitary(field, op.gamma)
+    elif op.kind == ADD:
+        u = add_unitary(field)
+    else:
+        raise ValueError(f"unknown op kind {op.kind!r}")
+    return _embed(field, u, _qudits(op), n)
 
 
 def clifford_unitary(field: GaloisField, op: CliffordOp, n: int = 1) -> np.ndarray:
@@ -252,22 +251,20 @@ def clifford_unitary(field: GaloisField, op: CliffordOp, n: int = 1) -> np.ndarr
     if op.kind in (MUL, PHASE):
         _gamma_check(field, op.kind, op.gamma)   # before inv, neg or sqrt wraps it
     if op.kind == DFT:
-        return _embed_single(field, fourier_unitary(field).conj().T, op.target, n)
-    if op.kind == MUL:
-        return _embed_single(field, multiplier_unitary(field, field.inv(op.gamma)),
-                             op.target, n)
-    if op.kind == PHASE:
-        if field.p != 2:
-            u = phase_unitary(field, field.neg(op.gamma))
-        elif op.gamma == 0:
-            u = np.eye(field.q, dtype=complex)
-        else:
-            u = (phase_unitary(field, op.gamma)
-                 @ multiplier_unitary(field, field.sqrt(op.gamma)))
-        return _embed_single(field, u, op.target, n)
-    if op.kind == ADD:
-        return _embed_pair(field, add_unitary(field), op.control, op.target, n)
-    raise ValueError(f"unknown op kind {op.kind!r}")
+        u = fourier_unitary(field).conj().T
+    elif op.kind == MUL:
+        u = multiplier_unitary(field, field.inv(op.gamma))
+    elif op.kind == PHASE and field.p != 2:
+        u = phase_unitary(field, field.neg(op.gamma))
+    elif op.kind == PHASE and op.gamma == 0:
+        u = np.eye(field.q, dtype=complex)
+    elif op.kind == PHASE:
+        u = phase_unitary(field, op.gamma) @ multiplier_unitary(field, field.sqrt(op.gamma))
+    elif op.kind == ADD:
+        u = add_unitary(field)
+    else:
+        raise ValueError(f"unknown op kind {op.kind!r}")
+    return _embed(field, u, _qudits(op), n)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +309,7 @@ def _identify(field: GaloisField, mat: np.ndarray, n: int):
     phase_factor = col0[r0]
     # z read-off: column |v e_i> holds w^tr(z_i v) times the factor at row |v e_i + x>;
     # row i of each array below is qudit i, column v is the amplitude read for v
-    add, trmul = _tables(field)
+    add, _, trmul = _tables(field)
     v = np.arange(q)
     weight = (q ** np.arange(n - 1, -1, -1))[:, None]
     xs = np.array(x, dtype=np.intp)[:, None]
@@ -359,8 +356,7 @@ def ebit_state(field: GaloisField) -> np.ndarray:
     d = field.q
     _check_dim(d * d)
     vec = np.zeros(d * d, dtype=complex)
-    for k in range(d):
-        vec[k * d + k] = 1.0
+    vec[np.arange(d) * (d + 1)] = 1.0
     return vec / np.sqrt(d)
 
 

@@ -82,6 +82,36 @@ def test_comments_and_whitespace_ignored():
     assert m.rows == (((1, 2), (3, 4)),)
 
 
+def test_parse_error_locations_point_at_the_token():
+    with pytest.raises(ParseError) as exc:
+        parse_check_matrix("EACM 5 1 2 1\n1 2 | 0  # cut short\n\n")
+    assert "end of input" in str(exc.value)
+    assert (exc.value.line, exc.value.column) == (2, 7)       # the last token read
+    with pytest.raises(ParseError) as exc:
+        parse_check_matrix("EACM 5 1 1 1\n1 | 0\n\t 4\n")
+    assert (exc.value.line, exc.value.column) == (3, 3)       # the trailing token
+    with pytest.raises(ParseError) as exc:
+        parse_check_matrix("")
+    assert (exc.value.line, exc.value.column) == (1, 1)
+
+
+def test_parse_memory_is_bounded_by_the_matrix():
+    # tokens are read lazily; a token list built up front peaks at 13.8 MB here
+    import tracemalloc
+    rng, n = random.Random(256), 256
+    text = f"EACM 7 1 {n} {n}\n" + "".join(
+        " ".join(str(rng.randrange(7)) for _ in range(n)) + " | "
+        + " ".join(str(rng.randrange(7)) for _ in range(n)) + "\n" for _ in range(n))
+    tracemalloc.start()
+    try:
+        m = parse_check_matrix(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.row_count == n
+    assert peak < 4 * 2 ** 20, peak
+
+
 # --- row operations ---
 
 def test_row_add_f5_repair_step():

@@ -23,6 +23,7 @@ from eaqec import circuit as circuit_module
 from eaqec.checkmatrix import (
     ADD,
     DFT,
+    MAX_N,
     MUL,
     PHASE,
     add,
@@ -174,8 +175,20 @@ def test_parse_bad_documents():
                           ' "gates": [{"g": "NOPE", "t": 1}]}')
 
 
-def _doc(gates, p=5, m=1):
-    return json.dumps({"version": 1, "p": p, "m": m, "n": 2, "c": 0, "gates": gates})
+def _doc(gates, p=5, m=1, n=2, c=0):
+    return json.dumps({"version": 1, "p": p, "m": m, "n": n, "c": c, "gates": gates})
+
+
+@pytest.mark.parametrize("n,c", [(0, 0), (0, -3), (MAX_N + 1, 0), (10 ** 12, 0),
+                                 (3, -1), (3, 4)])
+def test_circuit_header_outside_scope_is_a_parse_error(n, c):
+    with pytest.raises(ParseError, match="1 <= n"):
+        circuit_from_json(_doc([], n=n, c=c))
+
+
+@pytest.mark.parametrize("n,c", [(1, 0), (1, 1), (MAX_N, 0), (MAX_N, MAX_N), (3, 3)])
+def test_circuit_header_at_scope_edges_parses(n, c):
+    assert circuit_from_json(_doc([], n=n, c=c)) == Circuit(p=5, m=1, n=n, c=c, gates=())
 
 
 @pytest.mark.parametrize("text", [
@@ -406,7 +419,7 @@ def _random_circuit(rng):
             gates.append(phase(rng.randrange(p), t))
         else:
             gates.append(add(*rng.sample(range(1, n + 1), 2)))
-    return Circuit(p=p, m=1, n=n, c=rng.randrange(20), gates=tuple(gates))
+    return Circuit(p=p, m=1, n=n, c=min(rng.randrange(20), n), gates=tuple(gates))
 
 
 @pytest.mark.parametrize("circuit", [

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from eaqec import cli
 from eaqec.cli import build_parser, main
+from eaqec.errors import DimensionTooLargeError, EaqecError
 from conftest import FIXTURES, fixture_text
 
 
@@ -32,12 +34,17 @@ def test_reduce_json_roundtrip(capsys, fixture_path):
     assert all(report["verdicts"].values())
 
 
-def test_reduce_with_oracle_verdict(capsys, tmp_path):
+def _hamming_path(tmp_path):
+    """The [[3,1;2]]_2 code of H = (1 0 1; 0 1 1): five qudits, dimension 32."""
     from eaqec import css_import, make_field, serialize_check_matrix
-    m = css_import(make_field(2), [(1, 0, 1), (0, 1, 1)])
     path = tmp_path / "hamming.eacm"
-    path.write_text(serialize_check_matrix(m))
-    assert run(["reduce", path, "--mode", "normalized", "--json", "--oracle"]) == 0
+    path.write_text(serialize_check_matrix(css_import(make_field(2), [(1, 0, 1), (0, 1, 1)])))
+    return path
+
+
+def test_reduce_with_oracle_verdict(capsys, tmp_path):
+    assert run(["reduce", _hamming_path(tmp_path), "--mode", "normalized", "--json",
+                "--oracle"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verdicts"]["oracle"] is True
 
@@ -90,14 +97,51 @@ def test_verify_f5(capsys, fixture_path):
 
 
 def test_oracle_hamming(capsys, tmp_path):
-    from eaqec import css_import, make_field, serialize_check_matrix
-    m = css_import(make_field(2), [(1, 0, 1), (0, 1, 1)])
-    path = tmp_path / "hamming.eacm"
-    path.write_text(serialize_check_matrix(m))
-    assert run(["oracle", str(path)]) == 0
+    assert run(["oracle", _hamming_path(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "stabilized subspace dimension: 2" in out
     assert "oracle checks: ok" in out
+
+
+@pytest.mark.parametrize("name,fake,lines", [
+    ("paulis_commute", lambda *args: False,
+     ["FAIL: generators 1 and 2 do not commute densely"]),
+    ("stabilized_subspace_dim", lambda *args, **kwargs: 0,
+     ["FAIL: stabilized subspace dimension mismatch"]),
+    ("is_stabilized", lambda *args: False,
+     ["FAIL: ebit stabilizer ((1, 1), (0, 0)) fails on the entangled pair",
+      "FAIL: ebit stabilizer ((0, 0), (1, 1)) fails on the entangled pair"]),
+])
+def test_oracle_failures_are_reported_and_exit_4(capsys, tmp_path, monkeypatch, name, fake, lines):
+    from eaqec import oracle
+    monkeypatch.setattr(oracle, name, fake)
+    assert run(["oracle", _hamming_path(tmp_path)]) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert set(lines) <= set(out)
+    assert "oracle checks: ok" not in out
+
+
+def test_circuit_failing_its_postcondition_exits_4_and_writes_nothing(
+        capsys, fixture_path, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "verify_encoding_circuit", lambda result, circuit: False)
+    out = tmp_path / "f5.circuit.json"
+    assert run(["circuit", fixture_path("f5_pair.eacm"), "-o", out]) == 4
+    assert capsys.readouterr().err.startswith("circuit failed its postcondition")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc,code,stream,text", [
+    (DimensionTooLargeError("dimension 3125 exceeds cap 1024"), 0, "out",
+     "skipped: dimension 3125 exceeds cap 1024\n"),
+    (EaqecError("no such thing"), 4, "err", "verification error: no such thing\n"),
+])
+def test_main_maps_library_errors_to_exit_codes(capsys, fixture_path, monkeypatch,
+                                                exc, code, stream, text):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "reduce_matrix", fail)
+    assert run(["reduce", fixture_path("f5_pair.eacm")]) == code
+    assert getattr(capsys.readouterr(), stream) == text
 
 
 def test_oracle_skips_when_too_large(capsys, fixture_path):

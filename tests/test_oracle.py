@@ -223,9 +223,10 @@ def _kron_pauli_unitary(field, g, n):
 @pytest.mark.parametrize("p,m", TABLE_FIELDS)
 def test_tables_match_field_arithmetic(p, m):
     f = make_field(p, m)
-    add_t, trmul = _tables(f)
+    add_t, mul_t, trmul = _tables(f)
     for a, b in itertools.product(range(f.q), repeat=2):
         assert add_t[a, b] == f.add(a, b)
+        assert mul_t[a, b] == f.mul(a, b)
         assert trmul[a, b] == f.trace(f.mul(a, b))
 
 
@@ -241,6 +242,33 @@ def test_pauli_unitary_matches_kron_chain(p, m):
                   tuple(rng.randrange(f.q) for _ in range(2)))
         assert np.abs(pauli_unitary(f, g, 2) - _kron_pauli_unitary(f, g, 2)).max() <= 1e-12
         assert np.abs(pauli_unitary(f, g.row, 2) - _kron_pauli_unitary(f, g.row, 2)).max() <= 1e-12
+
+
+def _kron_embed(field, u, qudits, n):
+    """u on `qudits` as a sum over u's entries of kron chains of |a_i><b_i| and I."""
+    q, k = field.q, len(qudits)
+    out = np.zeros((q ** n, q ** n), dtype=complex)
+    for a, b in itertools.product(range(q ** k), repeat=2):
+        unit = {t: np.zeros((q, q)) for t in qudits}
+        for i, t in enumerate(qudits):
+            unit[t][a // q ** (k - 1 - i) % q, b // q ** (k - 1 - i) % q] = 1.0
+        chain = np.eye(1)
+        for pos in range(1, n + 1):
+            chain = np.kron(chain, unit.get(pos, np.eye(q)))
+        out += u[a, b] * chain
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_embed_matches_kron_chain_at_every_placement(p, m):
+    f = make_field(p, m)
+    rng = np.random.default_rng(p * 10 + m)
+    for n in (1, 2, 3):
+        for k in range(1, min(n, 3 if f.q <= 3 else 2) + 1):
+            for qudits in itertools.permutations(range(1, n + 1), k):
+                u = rng.normal(size=(f.q ** k,) * 2) + 1j * rng.normal(size=(f.q ** k,) * 2)
+                assert np.array_equal(oracle._embed(f, u, qudits, n),
+                                      _kron_embed(f, u, qudits, n)), qudits
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2)])
@@ -387,6 +415,10 @@ def test_embedding_checks_qudit_indices():
         clifford_unitary(f, add(1, 3), 2)
     with pytest.raises(IndexOutOfRangeError):
         gate_unitary(f, dft(0), 2)
+    with pytest.raises(IndexOutOfRangeError):      # not truncated to qudit 1
+        gate_unitary(f, dft(1.5), 2)
+    with pytest.raises(IndexOutOfRangeError):
+        clifford_unitary(f, add(1, 2.0), 2)
 
 
 # --- monomial subspace dimension against the dense-matmul reference ---
