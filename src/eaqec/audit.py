@@ -49,7 +49,7 @@ from .checkmatrix import (
     CheckMatrix,
     CliffordOp,
     RowOp,
-    _col_index,
+    _gate_args,
     _row_index,
     _Tableau,
     add,
@@ -129,13 +129,6 @@ def _local_map(kind: str, gamma: Optional[int], p: int):
     return matrix if _is_symplectic(matrix, p) else None
 
 
-def _gate_map(op: CliffordOp, p: int):
-    """`_local_map` of the op, or None if its gamma is not an integer."""
-    if op.kind in (MUL, PHASE):
-        return _local_map(op.kind, op.gamma, p) if type(op.gamma) is int else None
-    return _local_map(op.kind, None, p)
-
-
 def _image(matrix, columns, p: int):
     """M applied to every row's entries at once: column k of the result is
     sum_j M[k][j] * columns[j] mod p."""
@@ -161,15 +154,14 @@ def _column_step(work: _Tableau, rows, op: CliffordOp) -> Optional[str]:
     """
     p = work.field.p
     old_x, old_z = rows
+    t, gamma, c = _gate_args(op, work.n, p)
     work.clifford(op)
     xs, zs = work.xs, work.zs
-    cols = [_col_index(op.target, work.n)]
-    if op.kind == ADD:
-        cols.append(_col_index(op.control, work.n))
+    cols = [t] if c is None else [t, c]
     old = [[x[t] for x in old_x] for t in cols] + [[z[t] for z in old_z] for t in cols]
     new_x = [[x[t] for x in xs] for t in cols]
     new_z = [[z[t] for z in zs] for t in cols]
-    local = _gate_map(op, p)
+    local = _local_map(op.kind, gamma, p)
     mapped = local is not None and _image(local, old, p) == new_x + new_z
     for t, nx, nz in zip(cols, new_x, new_z):  # the copy takes the touched entries
         for ox, oz, a, b in zip(old_x, old_z, nx, nz):

@@ -41,6 +41,7 @@ from .errors import (
     IndexOutOfRangeError,
     NonInvertibleGammaError,
     ParseError,
+    UnknownOpError,
 )
 from .field import GaloisField, make_field
 from .linalg import rref_mod_p
@@ -126,16 +127,9 @@ def row_op_scale(i: int, scalar: int) -> RowOp:
 
 
 def _row_index(i: int, r: int) -> int:
-    """0-based position of 1-based row i among r rows."""
-    if not 1 <= i <= r:
-        raise IndexOutOfRangeError(f"row {i} outside 1..{r}")
-    return i - 1
-
-
-def _col_index(i: int, n: int) -> int:
-    """0-based position of 1-based qudit i among n."""
-    if not 1 <= i <= n:
-        raise IndexOutOfRangeError(f"qudit {i} outside 1..{n}")
+    """0-based position of 1-based row i among r rows; a bool is not an index."""
+    if type(i) is not int or not 1 <= i <= r:
+        raise IndexOutOfRangeError(f"row {i!r} outside 1..{r}")
     return i - 1
 
 
@@ -188,18 +182,52 @@ class CheckMatrix:
 
 def _scalar_domain_check(field: GaloisField, scalar: int):
     limit = field.q if field.m == 1 else field.p
-    if not isinstance(scalar, int) or not 0 <= scalar < limit:
+    if type(scalar) is not int or not 0 <= scalar < limit:
         raise BadScalarError(
             f"scalar {scalar!r} outside the allowed domain 0..{limit - 1}")
 
 
-def _gamma_check(field: GaloisField, kind: str, g):
-    """A MUL or PHASE gamma: an int field element, nonzero for MUL."""
-    if not isinstance(g, int) or not 0 <= g < field.q:
+def _gamma_check(q: int, kind: str, g):
+    """A MUL or PHASE gamma: an int element of GF(q), not a bool, nonzero for MUL."""
+    if type(g) is not int or not 0 <= g < q:
         raise NonInvertibleGammaError(f"{kind} gamma {g!r} is not a field element")
     if kind == MUL and g == 0:
         raise NonInvertibleGammaError("MUL gamma must be invertible")
-    return g
+
+
+def _gate_args(op: CliffordOp, n: int, q: int):
+    """(t, gamma, c) of a valid gate on n qudits over GF(q); the one definition
+    of a valid CliffordOp, which the tableau, `Circuit`, the audit and the
+    oracle all check through.
+
+    t and c (ADD's control, else None) are 0-based.  The target, and ADD's
+    control, must be ints in 1..n (a bool is not an index) and differ;
+    MUL and PHASE carry a gamma (`_gamma_check`), DFT and ADD none, and only
+    ADD a control.  Errors: `UnknownOpError` for an op that is not a
+    CliffordOp or a kind outside the four, `IndexOutOfRangeError` for a
+    qudit and `NonInvertibleGammaError` for a gamma.  Indices are tested
+    inline: this runs once per tableau op.
+    """
+    if type(op) is not CliffordOp:
+        raise UnknownOpError(f"{op!r} is not a CliffordOp")
+    kind, t, g, c = op.kind, op.target, op.gamma, op.control
+    if kind != ADD and kind != DFT and kind != MUL and kind != PHASE:
+        raise UnknownOpError(f"unknown clifford op kind {kind!r}")
+    if type(t) is not int or not 1 <= t <= n:
+        raise IndexOutOfRangeError(f"qudit {t!r} outside 1..{n}")
+    if kind == ADD:
+        if type(c) is not int or not 1 <= c <= n:
+            raise IndexOutOfRangeError(f"qudit {c!r} outside 1..{n}")
+        if c == t:
+            raise IndexOutOfRangeError("ADD control and target must differ")
+        c -= 1
+    elif c is not None:
+        raise IndexOutOfRangeError(f"{kind} takes no control, got {c!r}")
+    if kind == MUL or kind == PHASE:
+        _gamma_check(q, kind, g)
+    elif g is not None:
+        raise NonInvertibleGammaError(f"{kind} takes no gamma, got {g!r}")
+    return t - 1, g, c
 
 
 class _Tableau:
@@ -266,7 +294,7 @@ class _Tableau:
                 else:
                     side[i] = [f.scale(lam, v) for v in side[i]]
         else:
-            raise ValueError(f"unknown row op kind {op.kind!r}")
+            raise UnknownOpError(f"unknown row op kind {op.kind!r}")
         return self
 
     def clifford(self, op: CliffordOp, times: int = 1) -> "_Tableau":
@@ -279,16 +307,8 @@ class _Tableau:
         rule runs `times` times.
         """
         f, xs, zs = self.field, self.xs, self.zs
-        t = _col_index(op.target, self.n)
-        kind, g, c = op.kind, None, None
-        if kind in (MUL, PHASE):
-            g = _gamma_check(f, kind, op.gamma)
-        elif kind == ADD:
-            c = _col_index(op.control, self.n)
-            if c == t:
-                raise IndexOutOfRangeError("ADD control and target must differ")
-        elif kind != DFT:
-            raise ValueError(f"unknown clifford op kind {kind!r}")
+        t, g, c = _gate_args(op, self.n, f.q)
+        kind = op.kind
         if not isinstance(times, int) or times < 0:
             raise ValueError(f"times must be a non-negative integer, got {times!r}")
         if f.m > 1:
@@ -378,17 +398,17 @@ def apply_ops(m: CheckMatrix, ops) -> CheckMatrix:
     work = _Tableau(m)
     run, times = None, 0
     for op in ops:
-        if op is run:
+        if times and op is run:
             times += 1
             continue
-        if run is not None:
+        if times:
             work.clifford(run, times)
-            run = None
+            times = 0
         if isinstance(op, RowOp):
             work.row_op(op)
         else:
             run, times = op, 1
-    if run is not None:
+    if times:
         work.clifford(run, times)
     return work.freeze()
 

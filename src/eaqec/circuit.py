@@ -33,10 +33,11 @@ from .checkmatrix import (
     CheckMatrix,
     CliffordOp,
     RowOp,
+    _gate_args,
     apply_ops,
     row_space_equal,
 )
-from .errors import ParseError
+from .errors import EaqecError, ParseError
 from .field import is_prime
 from .pauli import rows_commute
 from .reduction import ReductionResult
@@ -54,29 +55,16 @@ class Circuit:
         # each distinct gate object once: `inverse_ops` repeats one object
         # up to p - 1 times.  Not by equality, since CliffordOp(DFT, True)
         # equals CliffordOp(DFT, 1) and only the first is invalid.
+        q = self.p ** self.m
         for g in {id(g): g for g in self.gates}.values():
-            _validate_gate(g, self.n, self.p ** self.m)
+            try:
+                _gate_args(g, self.n, q)
+            except EaqecError as exc:
+                raise ParseError(f"gate {g}: {exc}") from None
 
     @property
     def gate_count(self) -> int:
         return len(self.gates)
-
-
-def _validate_gate(g: CliffordOp, n: int, q: int):
-    indices = [g.target] + ([g.control] if g.kind == ADD else [])
-    for i in indices:
-        if type(i) is not int or not 1 <= i <= n:
-            raise ParseError(f"gate {g} touches qudit {i}, outside the sender range 1..{n}")
-    if g.kind == ADD and g.control == g.target:
-        raise ParseError(f"gate {g} has identical control and target")
-    if g.kind == MUL and (g.gamma is None or g.gamma == 0):
-        raise ParseError(f"gate {g} needs an invertible gamma")
-    if g.kind == PHASE and g.gamma is None:
-        raise ParseError(f"gate {g} needs a gamma")
-    if g.gamma is not None and not (type(g.gamma) is int and 0 <= g.gamma < q):
-        raise ParseError(f"gate {g} has gamma outside the field 0..{q - 1}")
-    if g.kind not in (DFT, MUL, PHASE, ADD):
-        raise ParseError(f"unknown gate kind {g.kind!r}")
 
 
 def synthesize_encoding_circuit(result: ReductionResult) -> Circuit:

@@ -172,9 +172,8 @@ def cmd_oracle(args) -> int:
                          stabilized_subspace_dim)
     matrix = parse_check_matrix(_read(args.file))
     result = reduce_matrix(matrix, mode=args.mode)
-    code = build_code(result)
     field = matrix.field
-    total_qudits = code.n + code.c
+    total_qudits = matrix.n + result.c
     dim = field.q ** total_qudits
     max_dim = min(args.max_dim, MAX_DIM)
     if dim > max_dim:
@@ -188,11 +187,11 @@ def cmd_oracle(args) -> int:
             if not paulis_commute(field, rows[i], rows[j], total_qudits):
                 failures.append(f"generators {i + 1} and {j + 1} do not commute densely")
     dim_found = stabilized_subspace_dim(field, rows, total_qudits, max_dim=max_dim)
-    expected = field.q ** code.k
+    expected = field.q ** result.k
     print(f"stabilized subspace dimension: {dim_found} (expected q^k = {expected})")
     if dim_found != expected:
         failures.append("stabilized subspace dimension mismatch")
-    if code.c > 0:
+    if result.c > 0:
         pair_x = ((1, 1), (0, 0))
         pair_z = ((0, 0), (1, field.p - 1))
         state = ebit_state(field)

@@ -42,7 +42,11 @@ class BadScalarError(EaqecError):
 
 
 class NonInvertibleGammaError(EaqecError):
-    """Multiplier gate requires an invertible (nonzero) gamma."""
+    """A gate's gamma is missing, stray, not a field element, or 0 for MUL."""
+
+
+class UnknownOpError(EaqecError, ValueError):
+    """An op is not a CliffordOp, or names a kind outside the gate or row-op set."""
 
 
 class ParseError(EaqecError):

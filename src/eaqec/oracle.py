@@ -51,12 +51,11 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .checkmatrix import ADD, DFT, MAX_DIM, MUL, PHASE, CliffordOp, _gamma_check
+from .checkmatrix import ADD, DFT, MAX_DIM, MUL, PHASE, CliffordOp, _gamma_check, _gate_args
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
     EntryOutOfRangeError,
-    IndexOutOfRangeError,
     NonCommutingGeneratorsError,
     NotAPauliError,
 )
@@ -115,23 +114,22 @@ def fourier_unitary(field: GaloisField) -> np.ndarray:
 
 
 def multiplier_unitary(field: GaloisField, gamma: int) -> np.ndarray:
-    _gamma_check(field, MUL, gamma)
+    _gamma_check(field.q, MUL, gamma)
     q = field.q
     u = np.zeros((q, q), dtype=complex)
-    # int(): a bool gamma passes the check, and numpy would read it as a mask
-    u[_tables(field)[1][int(gamma)], np.arange(q)] = 1.0
+    u[_tables(field)[1][gamma], np.arange(q)] = 1.0
     return u
 
 
 def phase_unitary(field: GaloisField, gamma: int) -> np.ndarray:
-    _gamma_check(field, PHASE, gamma)
+    _gamma_check(field.q, PHASE, gamma)
     q = field.q
     if gamma == 0:
         return np.eye(q, dtype=complex)
     _, mul, trmul = _tables(field)
     y = np.arange(q)
     if field.p != 2:
-        half_g = mul[field.inv(field.add(1, 1)), int(gamma)]
+        half_g = mul[field.inv(field.add(1, 1)), gamma]
         return np.diag(_roots(field)[-trmul[half_g, mul[y, y]] % field.p])
     g0 = field.sqrt(gamma)
     wgt = (trmul[:, list(field.self_dual_basis())] != 0).sum(axis=1)
@@ -153,15 +151,14 @@ def add_unitary(field: GaloisField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _embed(field: GaloisField, u: np.ndarray, qudits: Sequence[int], n: int) -> np.ndarray:
-    """u on the distinct 1-based `qudits` of n, its first factor on qudits[0]."""
+    """u on the distinct 1-based `qudits` of n, its first factor on qudits[0].
+
+    The qudits are a gate's that `_gate_args` has checked, so they are
+    not checked again here.
+    """
     q = field.q
     dim = q ** n
     _check_dim(dim)
-    if len(set(qudits)) != len(qudits):
-        raise IndexOutOfRangeError(f"qudits {tuple(qudits)} must differ")
-    for t in qudits:
-        if not isinstance(t, int) or not 1 <= t <= n:
-            raise IndexOutOfRangeError(f"qudit {t!r} out of range 1..{n}")
     cols = np.array(qudits, dtype=np.intp) - 1
     k = cols.size
     digits = _digit_grid(q, n)[:, cols]          # every basis index's digits on `qudits`
@@ -198,7 +195,7 @@ def _monomial(field: GaloisField, g, n: Optional[int] = None):
     q = field.q
     _check_dim(q ** n)
     for v in (*x, *z):
-        if not 0 <= v < q:
+        if type(v) is not int or not 0 <= v < q:
             raise EntryOutOfRangeError(f"{v!r} is not an element of GF({field.p}^{field.m})")
     add, _, trmul = _tables(field)
     digits = _digit_grid(q, n)
@@ -233,23 +230,21 @@ def gate_unitary(field: GaloisField, op, n: int = 1) -> np.ndarray:
     """The literal definition of a gate (or shift/clock operator), on n qudits."""
     if not isinstance(op, CliffordOp):
         return pauli_unitary(field, op, n)
+    _gate_args(op, n, field.q)
     if op.kind == DFT:
         u = fourier_unitary(field)
     elif op.kind == MUL:
         u = multiplier_unitary(field, op.gamma)
     elif op.kind == PHASE:
         u = phase_unitary(field, op.gamma)
-    elif op.kind == ADD:
-        u = add_unitary(field)
     else:
-        raise ValueError(f"unknown op kind {op.kind!r}")
+        u = add_unitary(field)
     return _embed(field, u, _qudits(op), n)
 
 
 def clifford_unitary(field: GaloisField, op: CliffordOp, n: int = 1) -> np.ndarray:
     """The unitary whose U g U+ conjugation realizes op's column rule."""
-    if op.kind in (MUL, PHASE):
-        _gamma_check(field, op.kind, op.gamma)   # before inv, neg or sqrt wraps it
+    _gate_args(op, n, field.q)   # before inv, neg or sqrt wraps the gamma
     if op.kind == DFT:
         u = fourier_unitary(field).conj().T
     elif op.kind == MUL:
@@ -260,10 +255,8 @@ def clifford_unitary(field: GaloisField, op: CliffordOp, n: int = 1) -> np.ndarr
         u = np.eye(field.q, dtype=complex)
     elif op.kind == PHASE:
         u = phase_unitary(field, op.gamma) @ multiplier_unitary(field, field.sqrt(op.gamma))
-    elif op.kind == ADD:
-        u = add_unitary(field)
     else:
-        raise ValueError(f"unknown op kind {op.kind!r}")
+        u = add_unitary(field)
     return _embed(field, u, _qudits(op), n)
 
 

@@ -67,6 +67,7 @@ from .errors import (
     NonPrimeFieldError,
     NotConstructibleError,
     ReductionFailedError,
+    UnknownOpError,
     ZeroA2Error,
 )
 
@@ -386,7 +387,7 @@ def inverse_ops(ops, field):
             elif op.kind == SCALE:
                 out.append(row_op_scale(op.dest, pow(op.scalar, -1, p)))
             else:
-                raise ValueError(f"unknown row op {op!r}")
+                raise UnknownOpError(f"unknown row op {op!r}")
         elif op.kind == DFT:
             out.extend([op] * 3)
         elif op.kind == MUL:
@@ -396,7 +397,7 @@ def inverse_ops(ops, field):
         elif op.kind == ADD:
             out.extend([op] * (p - 1))
         else:
-            raise ValueError(f"unknown op {op!r}")
+            raise UnknownOpError(f"unknown op {op!r}")
     return out
 
 

@@ -163,6 +163,8 @@ def test_gate_validation():
         Circuit(p=5, m=1, n=3, c=0, gates=(mul(0, 1),))
     with pytest.raises(ParseError):  # JSON would write `true`, not a qudit
         Circuit(p=5, m=1, n=3, c=0, gates=(dft(True),))
+    with pytest.raises(ParseError):
+        Circuit(p=5, m=1, n=3, c=0, gates=(row_op_swap(1, 2),))
 
 
 def test_parse_bad_documents():
@@ -438,8 +440,8 @@ def test_circuit_to_json_is_byte_identical_to_json_dumps(circuit):
 def test_each_distinct_gate_object_is_validated_once(f5_matrix, monkeypatch):
     res = reduce_matrix(f5_matrix, STRICT)
     validated = []
-    real = circuit_module._validate_gate
-    monkeypatch.setattr(circuit_module, "_validate_gate",
+    real = circuit_module._gate_args
+    monkeypatch.setattr(circuit_module, "_gate_args",
                         lambda g, n, q: validated.append(g) or real(g, n, q))
     circuit = synthesize_encoding_circuit(res)
     assert len(validated) == len({id(g) for g in circuit.gates}) < circuit.gate_count

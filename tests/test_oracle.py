@@ -5,17 +5,45 @@ import random
 import numpy as np
 import pytest
 
-from eaqec import CheckMatrix, Pauli, apply_clifford, make_field
-from eaqec import oracle
-from eaqec.checkmatrix import add, dft, mul, phase
+from eaqec import (
+    CheckMatrix,
+    Circuit,
+    CliffordOp,
+    Pauli,
+    RowOp,
+    apply_clifford,
+    apply_ops,
+    apply_row_op,
+    make_field,
+)
+from eaqec import audit, oracle
+from eaqec.checkmatrix import (
+    ADD,
+    DFT,
+    MUL,
+    PHASE,
+    SWAP,
+    _Tableau,
+    add,
+    dft,
+    mul,
+    phase,
+    row_op_addmul,
+    row_op_scale,
+    row_op_swap,
+)
 from eaqec.errors import (
+    BadScalarError,
     DimensionMismatchError,
     DimensionTooLargeError,
+    EaqecError,
     EntryOutOfRangeError,
     IndexOutOfRangeError,
     NonCommutingGeneratorsError,
     NonInvertibleGammaError,
     NotAPauliError,
+    ParseError,
+    UnknownOpError,
 )
 from eaqec.oracle import (
     _tables,
@@ -405,6 +433,16 @@ def test_pauli_unitary_rejects_entries_outside_the_field():
         pauli_unitary(make_field(3), ((3,), (0,)))
     with pytest.raises(EntryOutOfRangeError):
         pauli_unitary(make_field(2, 2), ((0,), (-1,)))
+    # the element rule of CheckMatrix and Pauli, in every oracle entry point
+    f = make_field(3)
+    for entry in (1.5, 1.0, True, "1", None):
+        row = ((entry,), (0,))
+        for call in (lambda: pauli_unitary(f, row),
+                     lambda: oracle.paulis_commute(f, ((1,), (0,)), row),
+                     lambda: conjugate_to_pauli(f, clifford_unitary(f, dft(1), 1), row),
+                     lambda: stabilized_subspace_dim(f, [row], 1)):
+            with pytest.raises(EntryOutOfRangeError):
+                call()
 
 
 def test_embedding_checks_qudit_indices():
@@ -557,19 +595,67 @@ def test_gate_constructors_reject_gammas_outside_the_field():
         gate_unitary(f5, mul(5, 1), 1)
 
 
+def _contract_ops(f, n):
+    """Well-formed gates from in-range ints, then one malformed op per rule of
+    `checkmatrix._gate_args`."""
+    ok = [dft(1), dft(n), add(1, n), add(n, 1)]
+    ok += [mul(g, 1) for g in range(1, f.q)] + [phase(g, n) for g in range(f.q)]
+    bad = [dft(i) for i in (1.0, 1.5, True, False, "1", None, 0, n + 1)]
+    bad += [add(c, t) for c, t in ((1, 2.0), (True, 2), (1, True), ("1", 2), (None, 2),
+                                   (1, None), (0, 1), (1, n + 1), (1, 1), (n, n))]
+    bad += [mul(1, True), phase(0, 1.0), mul(1, 0), phase(1, n + 1)]
+    bad += [CliffordOp(DFT, 1, gamma=1), CliffordOp(DFT, 1, gamma=0),
+            CliffordOp(ADD, 2, gamma=1, control=1), CliffordOp(DFT, 1, control=2),
+            CliffordOp(MUL, 1, gamma=1, control=2), CliffordOp(PHASE, 1, gamma=0, control=2),
+            CliffordOp("T", 1), CliffordOp("dft", 1), CliffordOp(SWAP, 1, control=2)]
+    bad += [build(g, 1) for build in (mul, phase)
+            for g in (*range(-2, 0), *range(f.q, f.q + 3), 1.0, "1", None, True, False)]
+    return ok, bad
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 2), (3, 2)])
 def test_oracle_and_tableau_reject_the_same_gammas(p, m):
-    f = make_field(p, m)
-    tableau = CheckMatrix.from_rows(f, [((1,), (1,))], n=1)
-    for op in (mul, phase):
-        for gamma in (*range(-2, f.q + 3), 1.0, "1", None, True):
-            outcomes = []
-            for build in (lambda o: apply_clifford(tableau, o),
-                          lambda o: clifford_unitary(f, o, 1),
-                          lambda o: gate_unitary(f, o, 1)):
-                try:
-                    build(op(gamma, 1))
-                    outcomes.append(None)
-                except NonInvertibleGammaError as exc:
-                    outcomes.append(str(exc))
-            assert len(set(outcomes)) == 1, (op, gamma, outcomes)
+    """Every layer that takes a gate accepts the same ops and rejects the rest
+    with the same EaqecError and message; `Circuit` wraps it in a ParseError.
+    Row ops follow the same index and element rule in the tableau and the audit."""
+    f, n = make_field(p, m), 2
+    matrix = CheckMatrix.from_rows(f, [((1, 0), (1, 1)), ((0, 1), (1, 0))], n=n)
+    layers = [lambda o: apply_clifford(matrix, o),
+              lambda o: clifford_unitary(f, o, n),
+              lambda o: gate_unitary(f, o, n)]
+    if m == 1:  # the audit is defined over prime fields only
+        layers.append(lambda o: audit._audit_ops(_Tableau(matrix), [o]))
+    ok, bad = _contract_ops(f, n)
+    for valid, op in [(True, op) for op in ok] + [(False, op) for op in bad]:
+        outcomes = set()
+        for build in layers:
+            try:
+                build(op)
+                outcomes.add(None)
+            except EaqecError as exc:
+                outcomes.add((type(exc), str(exc)))
+        assert len(outcomes) == 1, (op, outcomes)
+        (outcome,) = outcomes
+        assert (outcome is None) == valid, (op, outcome)
+        if outcome is None:
+            Circuit(p=p, m=m, n=n, c=0, gates=(op,))
+            continue
+        with pytest.raises(ParseError) as exc:
+            Circuit(p=p, m=m, n=n, c=0, gates=(op,))
+        assert str(exc.value) == f"gate {op}: {outcome[1]}"
+    row_layers = [lambda o: apply_row_op(matrix, o), lambda o: apply_ops(matrix, [o])]
+    if m == 1:
+        row_layers.append(lambda o: audit._audit_ops(_Tableau(matrix), [o]))
+    for op, error in ((row_op_swap(1.0, 2), IndexOutOfRangeError),
+                      (row_op_swap(1, True), IndexOutOfRangeError),
+                      (row_op_scale(True, 2), IndexOutOfRangeError),
+                      (row_op_scale(1, True), BadScalarError),
+                      (row_op_addmul(2, 1, True), BadScalarError),
+                      (row_op_addmul(2, 1.0, 1), IndexOutOfRangeError),
+                      (RowOp("NOPE", 1), UnknownOpError)):
+        messages = set()
+        for build in row_layers:
+            with pytest.raises(error) as exc:
+                build(op)
+            messages.add(str(exc.value))
+        assert len(messages) == 1, (op, messages)

@@ -20,10 +20,11 @@ from eaqec.errors import (
     InconsistentCountsError,
     NonPrimeFieldError,
     NotConstructibleError,
+    UnknownOpError,
     ZeroA2Error,
 )
 from eaqec.linalg import rank_mod_p
-from eaqec.reduction import NORMALIZED, STRICT, augmented_source
+from eaqec.reduction import NORMALIZED, STRICT, augmented_source, inverse_ops
 from conftest import random_instance
 
 
@@ -198,6 +199,12 @@ def test_extension_field_rejected():
 def test_bad_mode_rejected(f5_matrix):
     with pytest.raises(ValueError):
         reduce_matrix(f5_matrix, "fast")
+
+
+def test_inverse_ops_rejects_unknown_kinds():
+    for op in (RowOp("NOPE", 1), CliffordOp("NOPE", 1)):
+        with pytest.raises(UnknownOpError):
+            inverse_ops([op], make_field(5))
 
 
 def test_empty_matrix_reduces_to_itself():

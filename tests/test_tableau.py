@@ -35,7 +35,12 @@ from eaqec.checkmatrix import (
     row_op_scale,
     row_op_swap,
 )
-from eaqec.errors import BadScalarError, IndexOutOfRangeError, NonInvertibleGammaError
+from eaqec.errors import (
+    BadScalarError,
+    IndexOutOfRangeError,
+    NonInvertibleGammaError,
+    UnknownOpError,
+)
 from eaqec.reduction import NORMALIZED
 from test_golden import corpus
 
@@ -198,6 +203,7 @@ def test_a_bad_run_raises_like_one_op_and_writes_nothing(p, m):
     matrix = _matrix(random.Random(p + 10 * m), field, n, r)
     bad_ops = [(op, err) for op, err in _bad_ops(field, n, r) if not isinstance(op, RowOp)]
     bad_ops += [(dft(0), IndexOutOfRangeError), (CliffordOp("T", 1), ValueError)]
+    bad_ops.append((None, UnknownOpError))  # not a CliffordOp at all
     for bad, error in bad_ops:
         with pytest.raises(error) as once:
             _Tableau(matrix).clifford(bad)
