@@ -34,9 +34,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
+    BadArgumentError,
     BadScalarError,
     DimensionMismatchError,
     EaqecError,
+    EmptyMatrixError,
     EntryOutOfRangeError,
     IndexOutOfRangeError,
     NonInvertibleGammaError,
@@ -140,14 +142,11 @@ class CheckMatrix:
     rows: Tuple[Row, ...]
 
     def __post_init__(self):
-        f, n = self.field, self.n
-        q = f.q  # the elements are the ints 0..q-1, for every m
+        n, check = self.n, self.field.check
         for x, z in self.rows:
             if len(x) != n or len(z) != n:
                 raise DimensionMismatchError("every row needs n entries on each side")
-            for v in x + z:
-                if type(v) is not int or not 0 <= v < q:
-                    raise EntryOutOfRangeError(f"{v!r} is not an element of GF({f.p}^{f.m})")
+            check(*x, *z)
 
     @classmethod
     def from_rows(cls, field: GaloisField, rows: Sequence[Sequence[Sequence[int]]],
@@ -155,7 +154,7 @@ class CheckMatrix:
         rows = tuple((tuple(x), tuple(z)) for x, z in rows)
         if n is None:
             if not rows:
-                raise ValueError("n is required for an empty matrix")
+                raise EmptyMatrixError("n is required for an empty matrix")
             n = len(rows[0][0])
         return cls(field, n, rows)
 
@@ -179,13 +178,6 @@ class CheckMatrix:
 # ---------------------------------------------------------------------------
 # the working tableau
 # ---------------------------------------------------------------------------
-
-def _scalar_domain_check(field: GaloisField, scalar: int):
-    limit = field.q if field.m == 1 else field.p
-    if type(scalar) is not int or not 0 <= scalar < limit:
-        raise BadScalarError(
-            f"scalar {scalar!r} outside the allowed domain 0..{limit - 1}")
-
 
 def _gamma_check(q: int, kind: str, g):
     """A MUL or PHASE gamma: an int element of GF(q), not a bool, nonzero for MUL."""
@@ -230,6 +222,39 @@ def _gate_args(op: CliffordOp, n: int, q: int):
     return t - 1, g, c
 
 
+def _row_args(op: RowOp, r: int, field: GaloisField):
+    """(d, s, lam) of a valid row op on r rows over `field`; the one definition
+    of a valid RowOp, which the tableau and `inverse_ops` check through.
+
+    A RowOp of kind SWAP, ADDMUL or SCALE (`UnknownOpError`); rows are ints,
+    not bools, in 1..r, ADDMUL's two differ (`IndexOutOfRangeError`); ADDMUL
+    and SCALE carry an int scalar in 0..p-1, nonzero for SCALE
+    (`BadScalarError`).  A src on SCALE or a scalar on SWAP is rejected last.
+    d and s are 0-based, and s or lam is None where the kind has none.
+    """
+    if type(op) is not RowOp or op.kind not in (SWAP, ADDMUL, SCALE):
+        raise UnknownOpError(f"unknown row op kind {getattr(op, 'kind', op)!r}")
+    kind, d, s, lam = op.kind, op.dest, op.src, op.scalar
+    if type(d) is not int or not 1 <= d <= r:
+        raise IndexOutOfRangeError(f"row {d!r} outside 1..{r}")
+    if kind != SCALE:
+        if type(s) is not int or not 1 <= s <= r:
+            raise IndexOutOfRangeError(f"row {s!r} outside 1..{r}")
+        if kind == ADDMUL and d == s:
+            raise IndexOutOfRangeError("dest and src must differ")
+        s -= 1
+    if kind != SWAP:
+        if type(lam) is not int or not 0 <= lam < field.p:
+            raise BadScalarError(f"scalar {lam!r} outside the allowed domain 0..{field.p - 1}")
+        if kind == SCALE and lam == 0:
+            raise BadScalarError("SCALE scalar must be nonzero")
+    if kind == SCALE and s is not None:
+        raise IndexOutOfRangeError(f"SCALE takes no src, got {s!r}")
+    if kind == SWAP and lam is not None:
+        raise BadScalarError(f"SWAP takes no scalar, got {lam!r}")
+    return d - 1, s, lam
+
+
 class _Tableau:
     """Mutable working copy of a CheckMatrix: one list of ints per row side.
 
@@ -266,35 +291,21 @@ class _Tableau:
 
     def row_op(self, op: RowOp) -> "_Tableau":
         """Generating-set operation; the generated group is unchanged."""
-        f, r = self.field, len(self.xs)
-        if op.kind == SWAP:
-            i, j = _row_index(op.dest, r), _row_index(op.src, r)
-            for side in (self.xs, self.zs):
-                side[i], side[j] = side[j], side[i]
-        elif op.kind == ADDMUL:
-            d, s = _row_index(op.dest, r), _row_index(op.src, r)
-            if d == s:
-                raise IndexOutOfRangeError("dest and src must differ")
-            _scalar_domain_check(f, op.scalar)
-            lam, p = op.scalar, f.p
-            for side in (self.xs, self.zs):
+        f = self.field
+        d, s, lam = _row_args(op, len(self.xs), f)
+        kind, p = op.kind, f.p
+        for side in (self.xs, self.zs):
+            if kind == SWAP:
+                side[d], side[s] = side[s], side[d]
+            elif kind == ADDMUL:
                 if f.m == 1:
                     side[d] = [(a + lam * b) % p for a, b in zip(side[d], side[s])]
                 else:  # lam lies in the prime subfield
                     side[d] = [f.add(a, f.scale(lam, b)) for a, b in zip(side[d], side[s])]
-        elif op.kind == SCALE:
-            i = _row_index(op.dest, r)
-            _scalar_domain_check(f, op.scalar)
-            lam, p = op.scalar, f.p
-            if lam % p == 0:
-                raise BadScalarError("SCALE scalar must be nonzero")
-            for side in (self.xs, self.zs):
-                if f.m == 1:
-                    side[i] = [lam * v % p for v in side[i]]
-                else:
-                    side[i] = [f.scale(lam, v) for v in side[i]]
-        else:
-            raise UnknownOpError(f"unknown row op kind {op.kind!r}")
+            elif f.m == 1:  # SCALE
+                side[d] = [lam * v % p for v in side[d]]
+            else:
+                side[d] = [f.scale(lam, v) for v in side[d]]
         return self
 
     def clifford(self, op: CliffordOp, times: int = 1) -> "_Tableau":
@@ -309,8 +320,8 @@ class _Tableau:
         f, xs, zs = self.field, self.xs, self.zs
         t, g, c = _gate_args(op, self.n, f.q)
         kind = op.kind
-        if not isinstance(times, int) or times < 0:
-            raise ValueError(f"times must be a non-negative integer, got {times!r}")
+        if type(times) is not int or times < 0:
+            raise BadArgumentError(f"times must be a non-negative integer, got {times!r}")
         if f.m > 1:
             for _ in range(times):
                 _field_rule(f, xs, zs, kind, t, g, c)
@@ -518,7 +529,7 @@ def _read_header(ts: _TokenStream, magics=("EACM",)):
         modulus = [ts.next_int("polynomial coefficient")[0] for _ in range(m + 1)]
     try:
         field = make_field(p, m, modulus)
-    except (EaqecError, ValueError) as exc:
+    except EaqecError as exc:
         raise ParseError(f"invalid field declaration: {exc}") from exc
     return magic, field, n, r
 

@@ -46,7 +46,11 @@ class NonInvertibleGammaError(EaqecError):
 
 
 class UnknownOpError(EaqecError, ValueError):
-    """An op is not a CliffordOp, or names a kind outside the gate or row-op set."""
+    """An op is not a CliffordOp or RowOp, or names a kind outside its set."""
+
+
+class BadArgumentError(EaqecError, ValueError):
+    """A reduction mode, repetition count or field parameter outside its domain."""
 
 
 class ParseError(EaqecError):
@@ -88,7 +92,7 @@ class InconsistentCountsError(EaqecError):
 
 
 class ReductionFailedError(EaqecError):
-    """Circuit synthesis invoked without a successful reduction."""
+    """A reduction ended in rows that break the canonical layout (internal error)."""
 
 
 # --- dense oracle ---
@@ -119,5 +123,5 @@ class TooLargeError(EaqecError):
     """Pairwise correctability check exceeds the pair-count cap."""
 
 
-class EmptyMatrixError(EaqecError):
-    """Classical parity-check matrix has no rows or no columns."""
+class EmptyMatrixError(EaqecError, ValueError):
+    """A matrix or generator list is empty or ragged where its size is read from it."""

@@ -26,6 +26,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import (
+    BadArgumentError,
+    EntryOutOfRangeError,
     NonPrimeError,
     OddCharacteristicError,
     ReduciblePolynomialError,
@@ -141,13 +143,13 @@ class GaloisField:
         if not isinstance(p, int) or not is_prime(p):
             raise NonPrimeError(f"p = {p} is not prime")
         if not isinstance(m, int) or m < 1:
-            raise ValueError(f"extension degree m = {m} must be >= 1")
+            raise BadArgumentError(f"extension degree m = {m} must be >= 1")
         self.p = p
         self.m = m
         self.q = p ** m
         if m == 1:
             if modulus is not None:
-                raise ValueError("modulus polynomial is only meaningful for m > 1")
+                raise BadArgumentError("modulus polynomial is only meaningful for m > 1")
             self.modulus = None
         else:
             if modulus is None:
@@ -177,10 +179,12 @@ class GaloisField:
             v = v * self.p + (d % self.p)
         return v
 
-    def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
-            raise ValueError(f"{a!r} is not an element of GF({self.p}^{self.m})")
-        return a
+    def check(self, *values):
+        """The one element rule: each value is an int (not a bool) in 0..q-1."""
+        q = self.q
+        for v in values:
+            if type(v) is not int or not 0 <= v < q:
+                raise EntryOutOfRangeError(f"{v!r} is not an element of GF({self.p}^{self.m})")
 
     def elements(self):
         return range(self.q)
@@ -242,8 +246,8 @@ class GaloisField:
         for _ in range(self.m):
             t = self.add(t, x)
             x = self.pow(x, self.p)
-        # the trace lies in the prime subfield, i.e. only digit 0 is set
-        assert t < self.p, "trace escaped the prime subfield"
+        if t >= self.p:  # pragma: no cover - an irreducible modulus keeps it in F_p
+            raise ReduciblePolynomialError("trace escaped the prime subfield")
         return t
 
     def trace_form(self):
@@ -312,6 +316,10 @@ def _cached_field(p, m, modulus):
 
 
 def make_field(p: int, m: int = 1, modulus: Optional[Sequence[int]] = None) -> GaloisField:
-    """Validated field context; identical arguments share one instance."""
-    key = tuple(int(c) for c in modulus) if modulus is not None else None
-    return _cached_field(int(p), int(m), key)
+    """Validated field context; identical arguments share one instance.
+
+    Nothing is cast: a p, m or coefficient that is not an int, or is a bool, is an error."""
+    key = tuple(modulus) if modulus is not None else None
+    if any(type(v) is not int for v in (p, m, *(key or ()))):
+        raise BadArgumentError(f"field parameters must be ints, got {(p, m, modulus)!r}")
+    return _cached_field(p, m, key)

@@ -55,7 +55,7 @@ from .checkmatrix import ADD, DFT, MAX_DIM, MUL, PHASE, CliffordOp, _gamma_check
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
-    EntryOutOfRangeError,
+    EmptyMatrixError,
     NonCommutingGeneratorsError,
     NotAPauliError,
 )
@@ -194,9 +194,7 @@ def _monomial(field: GaloisField, g, n: Optional[int] = None):
             f"x and z need length n = {n}, got {len(x)} and {len(z)}")
     q = field.q
     _check_dim(q ** n)
-    for v in (*x, *z):
-        if type(v) is not int or not 0 <= v < q:
-            raise EntryOutOfRangeError(f"{v!r} is not an element of GF({field.p}^{field.m})")
+    field.check(*x, *z)
     add, _, trmul = _tables(field)
     digits = _digit_grid(q, n)
     rows = add[digits, np.array(x, dtype=np.intp)] @ q ** np.arange(n - 1, -1, -1)
@@ -371,7 +369,7 @@ def stabilized_subspace_dim(field: GaloisField, generators: Sequence,
     gens = list(generators)
     if not gens:
         if n is None:
-            raise ValueError("n required for an empty generator list")
+            raise EmptyMatrixError("n required for an empty generator list")
         _check_dim(field.q ** n, max_dim)
         return field.q ** n
     if isinstance(gens[0], Pauli):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import List, Sequence, Tuple
 
-from .errors import DimensionMismatchError, EntryOutOfRangeError
+from .errors import DimensionMismatchError
 from .field import GaloisField
 
 Row = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -47,11 +47,8 @@ class Pauli:
     def __post_init__(self):
         if len(self.x) != self.n or len(self.z) != self.n:
             raise DimensionMismatchError("x/z vectors must have length n")
-        f, q = self.field, self.field.q
-        object.__setattr__(self, "phase", self.phase % f.p)
-        for v in self.x + self.z:
-            if type(v) is not int or not 0 <= v < q:
-                raise EntryOutOfRangeError(f"{v!r} is not an element of GF({f.p}^{f.m})")
+        object.__setattr__(self, "phase", self.phase % self.field.p)
+        self.field.check(*self.x, *self.z)
 
     @classmethod
     def identity(cls, field, n):

@@ -44,13 +44,15 @@ from .checkmatrix import (
     ADD,
     ADDMUL,
     DFT,
+    MAX_N,
     MUL,
     PHASE,
-    SCALE,
     SWAP,
     CheckMatrix,
     CliffordOp,
     RowOp,
+    _gamma_check,
+    _row_args,
     _Tableau,
     add,
     apply_ops,
@@ -62,6 +64,7 @@ from .checkmatrix import (
     row_op_swap,
 )
 from .errors import (
+    BadArgumentError,
     DependentRowsError,
     InconsistentCountsError,
     NonPrimeFieldError,
@@ -331,7 +334,7 @@ def _canonical_layout(field, n, c, a):
 def reduce_matrix(matrix: CheckMatrix, mode: str = STRICT) -> ReductionResult:
     """Full reduction: canonical form, op log, (c, a, k) and ebit-augmented matrix."""
     if mode not in (STRICT, NORMALIZED):
-        raise ValueError(f"mode must be {STRICT!r} or {NORMALIZED!r}")
+        raise BadArgumentError(f"mode must be {STRICT!r} or {NORMALIZED!r}")
     field = matrix.field
     if field.m != 1:
         raise NonPrimeFieldError("reduction is defined over prime fields only")
@@ -374,26 +377,29 @@ def inverse_ops(ops, field):
     """Inverted log in reverse order; gate set closed under repetition.
 
     A DFT or ADD is undone by repeating the op itself, so those gates are
-    the log's own objects, not copies.
+    the log's own objects, not copies.  Row ops pass `_row_args` with r =
+    MAX_N, the scope, and MUL and PHASE gammas `_gamma_check`; the consumer,
+    which knows n, checks the qudits.
     """
     out = []
     p = field.p
     for op in reversed(list(ops)):
         if isinstance(op, RowOp):
+            _, _, lam = _row_args(op, MAX_N, field)
             if op.kind == SWAP:
                 out.append(op)
             elif op.kind == ADDMUL:
-                out.append(row_op_addmul(op.dest, op.src, (-op.scalar) % p))
-            elif op.kind == SCALE:
-                out.append(row_op_scale(op.dest, pow(op.scalar, -1, p)))
+                out.append(row_op_addmul(op.dest, op.src, (-lam) % p))
             else:
-                raise UnknownOpError(f"unknown row op {op!r}")
+                out.append(row_op_scale(op.dest, pow(lam, -1, p)))
+        elif type(op) is not CliffordOp:
+            raise UnknownOpError(f"{op!r} is not a CliffordOp")
         elif op.kind == DFT:
             out.extend([op] * 3)
-        elif op.kind == MUL:
-            out.append(mul(field.inv(op.gamma), op.target))
-        elif op.kind == PHASE:
-            out.append(phase(field.neg(op.gamma), op.target))
+        elif op.kind == MUL or op.kind == PHASE:
+            _gamma_check(field.q, op.kind, op.gamma)
+            g = field.inv(op.gamma) if op.kind == MUL else field.neg(op.gamma)
+            out.append(CliffordOp(op.kind, op.target, gamma=g))
         elif op.kind == ADD:
             out.extend([op] * (p - 1))
         else:
@@ -403,7 +409,7 @@ def inverse_ops(ops, field):
 
 def invert_oplog(oplog, field) -> Tuple[CliffordOp, ...]:
     """Reverse and invert the Clifford part of a reduction log."""
-    return tuple(inverse_ops([op for op in oplog if isinstance(op, CliffordOp)], field))
+    return tuple(inverse_ops([op for op in oplog if not isinstance(op, RowOp)], field))
 
 
 def augmented_source(result: ReductionResult) -> CheckMatrix:

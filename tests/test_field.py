@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaqec.errors import (
+    BadArgumentError,
+    EaqecError,
+    EntryOutOfRangeError,
     NonPrimeError,
     OddCharacteristicError,
     ReduciblePolynomialError,
@@ -30,6 +33,30 @@ def test_nonprime_p_rejected():
         make_field(4)
     with pytest.raises(NonPrimeError):
         make_field(1)
+
+
+def test_make_field_casts_nothing():
+    """A p, m or modulus coefficient that is not an int is an error, not GF(3)."""
+    for args in ((3.5,), ("3",), (3, True), (True,), (3, 1.5), (None,),
+                 (3, 2, [2.0, 2, 1]), (3, 2, [2, 2, True])):
+        with pytest.raises(BadArgumentError) as exc:
+            make_field(*args)
+        assert isinstance(exc.value, EaqecError)
+    assert make_field(3, 2, [2, 2, 1]).modulus == (2, 2, 1)
+    for args in ((3, 0), (3, 1, [1, 1])):  # the field's own checks raise the same class
+        with pytest.raises(BadArgumentError):
+            make_field(*args)
+
+
+def test_check_is_the_element_rule():
+    """Every value an int, not a bool, in 0..q-1, else EntryOutOfRangeError."""
+    f = make_field(3, 2)
+    f.check()
+    f.check(*range(9))
+    for bad in (9, -1, True, False, 1.0, "1", None):
+        with pytest.raises(EntryOutOfRangeError) as exc:
+            f.check(0, bad, 1)
+        assert str(exc.value) == f"{bad!r} is not an element of GF(3^2)"
 
 
 def test_reducible_modulus_rejected():

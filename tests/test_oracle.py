@@ -20,8 +20,10 @@ from eaqec import audit, oracle
 from eaqec.checkmatrix import (
     ADD,
     DFT,
+    MAX_N,
     MUL,
     PHASE,
+    SCALE,
     SWAP,
     _Tableau,
     add,
@@ -56,6 +58,7 @@ from eaqec.oracle import (
     pauli_unitary,
     stabilized_subspace_dim,
 )
+from eaqec.reduction import inverse_ops, invert_oplog
 
 
 def _unitary(u):
@@ -613,11 +616,44 @@ def _contract_ops(f, n):
     return ok, bad
 
 
+def _contract_row_ops(f):
+    """Well-formed row ops on two rows, then malformed ones with their error:
+    float, bool, str and None rows and scalars, scalars outside the prime
+    subfield, stray fields and unknown kinds (`checkmatrix._row_args`)."""
+    ok = [row_op_swap(1, 2), row_op_swap(2, 2), row_op_addmul(2, 1, 0),
+          row_op_addmul(1, 2, f.p - 1), row_op_scale(1, 1), row_op_scale(2, f.p - 1)]
+    bad = []
+    for v in (1.0, 1.5, True, False, "1", None, 0, MAX_N + 1):
+        bad += [(op, IndexOutOfRangeError) for op in (
+            row_op_swap(v, 2), row_op_swap(1, v), row_op_addmul(v, 1, 1),
+            row_op_addmul(2, v, 1), row_op_scale(v, 1))]
+    for v in (1.0, 1.5, True, False, "1", None, -1, f.p, f.q):
+        bad += [(row_op_addmul(2, 1, v), BadScalarError), (row_op_scale(1, v), BadScalarError)]
+    bad += [(row_op_scale(1, 0), BadScalarError), (row_op_addmul(1, 1, 1), IndexOutOfRangeError),
+            (RowOp(SCALE, 1, src=2, scalar=f.p - 1), IndexOutOfRangeError),
+            (RowOp(SCALE, 1, src=1, scalar=1), IndexOutOfRangeError),
+            (RowOp(SWAP, 1, src=2, scalar=3), BadScalarError),
+            (RowOp(SWAP, 1, src=2, scalar=0), BadScalarError)]
+    bad += [(RowOp(kind, 1, src=2, scalar=1), UnknownOpError)
+            for kind in ("NOPE", "swap", None, DFT, ADD)]
+    return ok, bad
+
+
+def _outcome(build, op):
+    try:
+        build(op)
+    except EaqecError as exc:
+        return type(exc), str(exc)
+    return None
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 2), (3, 2)])
 def test_oracle_and_tableau_reject_the_same_gammas(p, m):
     """Every layer that takes a gate accepts the same ops and rejects the rest
-    with the same EaqecError and message; `Circuit` wraps it in a ParseError.
-    Row ops follow the same index and element rule in the tableau and the audit."""
+    with the same EaqecError and message; `Circuit` wraps it in a ParseError,
+    and `inverse_ops`, which checks gammas only, agrees on every gamma.  Row
+    ops follow one rule in the tableau, the audit and `inverse_ops`, and a
+    value that is no op at all is an UnknownOpError in each of them."""
     f, n = make_field(p, m), 2
     matrix = CheckMatrix.from_rows(f, [((1, 0), (1, 1)), ((0, 1), (1, 0))], n=n)
     layers = [lambda o: apply_clifford(matrix, o),
@@ -627,35 +663,35 @@ def test_oracle_and_tableau_reject_the_same_gammas(p, m):
         layers.append(lambda o: audit._audit_ops(_Tableau(matrix), [o]))
     ok, bad = _contract_ops(f, n)
     for valid, op in [(True, op) for op in ok] + [(False, op) for op in bad]:
-        outcomes = set()
-        for build in layers:
-            try:
-                build(op)
-                outcomes.add(None)
-            except EaqecError as exc:
-                outcomes.add((type(exc), str(exc)))
+        outcomes = {_outcome(build, op) for build in layers}
         assert len(outcomes) == 1, (op, outcomes)
         (outcome,) = outcomes
         assert (outcome is None) == valid, (op, outcome)
+        if op.kind in (MUL, PHASE) and (outcome is None or outcome[0] is NonInvertibleGammaError):
+            assert _outcome(lambda o: inverse_ops([o], f), op) == outcome, op
         if outcome is None:
             Circuit(p=p, m=m, n=n, c=0, gates=(op,))
             continue
         with pytest.raises(ParseError) as exc:
             Circuit(p=p, m=m, n=n, c=0, gates=(op,))
         assert str(exc.value) == f"gate {op}: {outcome[1]}"
-    row_layers = [lambda o: apply_row_op(matrix, o), lambda o: apply_ops(matrix, [o])]
+    # inverse_ops does not know r and checks rows against the scope MAX_N
+    row_layers = [lambda o: apply_row_op(matrix, o), lambda o: apply_ops(matrix, [o]),
+                  lambda o: inverse_ops([o], f)]
     if m == 1:
         row_layers.append(lambda o: audit._audit_ops(_Tableau(matrix), [o]))
-    for op, error in ((row_op_swap(1.0, 2), IndexOutOfRangeError),
-                      (row_op_swap(1, True), IndexOutOfRangeError),
-                      (row_op_scale(True, 2), IndexOutOfRangeError),
-                      (row_op_scale(1, True), BadScalarError),
-                      (row_op_addmul(2, 1, True), BadScalarError),
-                      (row_op_addmul(2, 1.0, 1), IndexOutOfRangeError),
-                      (RowOp("NOPE", 1), UnknownOpError)):
-        messages = set()
-        for build in row_layers:
-            with pytest.raises(error) as exc:
-                build(op)
-            messages.add(str(exc.value))
-        assert len(messages) == 1, (op, messages)
+    ok, bad = _contract_row_ops(f)
+    for op, error in [(op, None) for op in ok] + bad:
+        outcomes = {_outcome(build, op) for build in row_layers}
+        outcomes = {o and (o[0], o[1].replace(f"1..{MAX_N}", "1..2")) for o in outcomes}
+        assert len(outcomes) == 1, (op, outcomes)
+        (outcome,) = outcomes
+        assert (outcome and outcome[0]) is error, (op, outcome)
+    # the layers that take both kinds send every op that is not a RowOp to
+    # the gate rule, and invert_oplog drops row ops only
+    mixed = row_layers[1:] + [lambda o: invert_oplog([row_op_swap(1, 2), o], f)]
+    for op in (None, 1, "SWAP", dft, (SWAP, 1, 2)):
+        outcomes = {_outcome(build, op) for build in mixed}
+        assert outcomes == {(UnknownOpError, f"{op!r} is not a CliffordOp")}, outcomes
+        with pytest.raises(UnknownOpError):
+            apply_row_op(matrix, op)

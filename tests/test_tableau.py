@@ -36,6 +36,7 @@ from eaqec.checkmatrix import (
     row_op_swap,
 )
 from eaqec.errors import (
+    BadArgumentError,
     BadScalarError,
     IndexOutOfRangeError,
     NonInvertibleGammaError,
@@ -219,6 +220,17 @@ def test_a_bad_run_raises_like_one_op_and_writes_nothing(p, m):
     for times in (-1, 1.0, None):
         work = _Tableau(matrix)
         with pytest.raises(ValueError):
+            work.clifford(dft(1), times)
+        assert work.freeze() == matrix
+
+
+def test_a_repetition_count_is_an_int_not_a_bool():
+    """A bool is no repetition count: True must not run the gate once."""
+    field = make_field(5)
+    matrix = _matrix(random.Random(3), field, 2, 2)
+    for times in (True, False):
+        work = _Tableau(matrix)
+        with pytest.raises(BadArgumentError, match="times must be a non-negative integer"):
             work.clifford(dft(1), times)
         assert work.freeze() == matrix
 
