@@ -7,6 +7,11 @@ It was recorded before the per-op CheckMatrix rebuild was replaced by the
 in-place working tableau; any change to what the pipeline emits, however
 small, changes the digest.
 
+The invariant digest covers only what the pipeline computes, not how it
+writes it down: (c, a, k), the forward log with every ADD written as unit
+ADDs, the canonical rows and the encoded rows.  A change of the op
+vocabulary that computes the same thing keeps it.
+
 The instances are built here with plain integer arithmetic, not with the
 library, so the corpus itself does not depend on the code under test.
 """
@@ -21,6 +26,7 @@ from eaqec import (
     reduce_matrix,
     synthesize_encoding_circuit,
 )
+from eaqec.checkmatrix import ADD
 from eaqec.errors import NotConstructibleError
 from eaqec.linalg import rank_mod_p
 from eaqec.reduction import NORMALIZED, STRICT
@@ -34,6 +40,9 @@ SHAPES = (
 )
 
 GOLDEN = "6faedb1decd728ec5ff540ffe3e1e2d3c1595fe8b9976c56864195c46d2df7ef"
+
+# what a change of the op vocabulary must keep: see `invariant_lines`
+INVARIANT = "e251328b7b818234c54b3188cd177141169fe56f20ce507fc6a042abadf50115"
 
 
 def _full_rank(rng, p, n, r):
@@ -97,11 +106,35 @@ def pipeline_lines(name, matrix, mode):
     return lines
 
 
-def corpus_digest():
+def _unit_ops(op):
+    """An op of the log as text, a scaled ADD(gamma) as gamma unit ADDs."""
+    if op.kind == ADD:
+        return [f"ADD({op.control}->{op.target})"] * (op.gamma or 1)
+    return [str(op)]
+
+
+def _row_lines(matrix):
+    return [" ".join(map(str, x)) + " | " + " ".join(map(str, z)) for x, z in matrix.rows]
+
+
+def invariant_lines(name, matrix, mode):
+    """What the pipeline computes, whatever its op vocabulary: (c, a, k), the
+    forward log with every ADD written as unit ADDs, the canonical rows and
+    the encoded rows."""
+    try:
+        res = reduce_matrix(matrix, mode)
+    except NotConstructibleError:
+        return [f"{name} {mode} not constructible"]
+    return [f"{name} {mode} c={res.c} a={res.a} k={res.k}",
+            ";".join(text for op in res.oplog for text in _unit_ops(op)),
+            *_row_lines(res.canonical), *_row_lines(res.encoded)]
+
+
+def corpus_digest(lines=pipeline_lines):
     h = hashlib.sha256()
     for name, matrix in corpus():
         for mode in (STRICT, NORMALIZED):
-            for line in pipeline_lines(name, matrix, mode):
+            for line in lines(name, matrix, mode):
                 h.update(line.encode("utf-8") + b"\n")
     return h.hexdigest()
 
@@ -116,3 +149,7 @@ def test_corpus_shapes():
 
 def test_golden_digest():
     assert corpus_digest() == GOLDEN
+
+
+def test_invariant_digest():
+    assert corpus_digest(invariant_lines) == INVARIANT
