@@ -122,8 +122,8 @@ def _local_map(kind: str, gamma: Optional[int], p: int):
         matrix = ((pow(gamma, -1, p), 0), (0, gamma % p))
     elif kind == PHASE:
         matrix = ((1, 0), (gamma % p, 1))
-    elif kind == ADD:
-        matrix = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, p - 1, 1))
+    elif kind == ADD and gamma % p:
+        matrix = ((1, gamma % p, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -gamma % p, 1))
     else:
         return None
     return matrix if _is_symplectic(matrix, p) else None

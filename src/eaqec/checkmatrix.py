@@ -12,7 +12,7 @@ generators by the corresponding gates, one column per qudit:
     DFT(i):        (x_i, z_i) -> (z_i, -x_i)
     MUL(g, i):     (x_i, z_i) -> (g^-1 x_i, g z_i),  g != 0
     PHASE(g, i):   (x_i, z_i) -> (x_i, z_i + g x_i)
-    ADD(i -> j):   x_j += x_i;  z_i -= z_j          (control i, target j)
+    ADD(g, i -> j):  x_j += g x_i;  z_i -= g z_j    (control i, target j, g != 0)
 
 All four preserve every pairwise symplectic product.  Qudit and row
 indices on the public surface are 1-based, matching the file format.
@@ -76,8 +76,10 @@ class CliffordOp:
     control: Optional[int] = None
 
     def __str__(self):
-        if self.kind == ADD:
-            return f"ADD({self.control}->{self.target})"
+        if self.kind == ADD:  # the unit ADD is written without its gamma
+            g = self.gamma
+            scale = "" if type(g) is int and g == 1 else f"{g},"
+            return f"ADD({scale}{self.control}->{self.target})"
         if self.kind == DFT:
             return f"DFT({self.target})"
         return f"{self.kind}({self.gamma},{self.target})"
@@ -95,8 +97,8 @@ def phase(gamma: int, target: int) -> CliffordOp:
     return CliffordOp(PHASE, target, gamma=gamma)
 
 
-def add(control: int, target: int) -> CliffordOp:
-    return CliffordOp(ADD, target, control=control)
+def add(control: int, target: int, gamma: int = 1) -> CliffordOp:
+    return CliffordOp(ADD, target, gamma=gamma, control=control)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,11 +182,12 @@ class CheckMatrix:
 # ---------------------------------------------------------------------------
 
 def _gamma_check(q: int, kind: str, g):
-    """A MUL or PHASE gamma: an int element of GF(q), not a bool, nonzero for MUL."""
+    """A MUL, PHASE or ADD gamma: an int element of GF(q), not a bool, nonzero
+    for MUL and ADD."""
     if type(g) is not int or not 0 <= g < q:
         raise NonInvertibleGammaError(f"{kind} gamma {g!r} is not a field element")
-    if kind == MUL and g == 0:
-        raise NonInvertibleGammaError("MUL gamma must be invertible")
+    if g == 0 and kind != PHASE:
+        raise NonInvertibleGammaError(f"{kind} gamma must be invertible")
 
 
 def _gate_args(op: CliffordOp, n: int, q: int):
@@ -194,7 +197,7 @@ def _gate_args(op: CliffordOp, n: int, q: int):
 
     t and c (ADD's control, else None) are 0-based.  The target, and ADD's
     control, must be ints in 1..n (a bool is not an index) and differ;
-    MUL and PHASE carry a gamma (`_gamma_check`), DFT and ADD none, and only
+    MUL, PHASE and ADD carry a gamma (`_gamma_check`), DFT none, and only
     ADD a control.  Errors: `UnknownOpError` for an op that is not a
     CliffordOp or a kind outside the four, `IndexOutOfRangeError` for a
     qudit and `NonInvertibleGammaError` for a gamma.  Indices are tested
@@ -215,7 +218,7 @@ def _gate_args(op: CliffordOp, n: int, q: int):
         c -= 1
     elif c is not None:
         raise IndexOutOfRangeError(f"{kind} takes no control, got {c!r}")
-    if kind == MUL or kind == PHASE:
+    if kind != DFT:
         _gamma_check(q, kind, g)
     elif g is not None:
         raise NonInvertibleGammaError(f"{kind} takes no gamma, got {g!r}")
@@ -314,7 +317,7 @@ class _Tableau:
         Every check runs once, before anything is written.  For m = 1 the
         run is one pass of the gate's power in integer arithmetic mod p:
         DFT^k by k mod 4, MUL(g)^k = MUL(g^k), PHASE(g)^k = PHASE(k g) and
-        ADD^k as x_t += k x_c, z_c -= k z_t.  For m > 1 the field-method
+        ADD(g)^k = ADD(k g) as x_t += k g x_c, z_c -= k g z_t.  For m > 1 the field-method
         rule runs `times` times.
         """
         f, xs, zs = self.field, self.xs, self.zs
@@ -353,7 +356,7 @@ class _Tableau:
                     if x[t]:
                         z[t] = (z[t] + gk * x[t]) % p
         else:
-            k = times % p
+            k = times * g % p
             if k:
                 for x in xs:
                     if x[c]:
@@ -366,7 +369,7 @@ class _Tableau:
 
 def _field_rule(f: GaloisField, xs, zs, kind: str, t: int, g, c):
     """One application of a checked column rule through the field's methods
-    (m > 1): target column t, gamma g of MUL and PHASE, control column c of ADD."""
+    (m > 1): target column t, gamma g, control column c of ADD."""
     if kind == DFT:
         for x, z in zip(xs, zs):
             x[t], z[t] = z[t], f.neg(x[t])
@@ -380,8 +383,8 @@ def _field_rule(f: GaloisField, xs, zs, kind: str, t: int, g, c):
             z[t] = f.add(z[t], f.mul(g, x[t]))
     else:
         for x, z in zip(xs, zs):
-            x[t] = f.add(x[t], x[c])
-            z[c] = f.sub(z[c], z[t])
+            x[t] = f.add(x[t], f.mul(g, x[c]))
+            z[c] = f.sub(z[c], f.mul(g, z[t]))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +405,7 @@ def apply_ops(m: CheckMatrix, ops) -> CheckMatrix:
     """Fold a mixed sequence of RowOp / CliffordOp over the matrix.
 
     A run of one CliffordOp object repeated back to back, as `inverse_ops`
-    and the reducer's repeated ADDs emit, is applied in one pass as the
+    emits for a DFT or ADD, is applied in one pass as the
     gate's power.  Runs are found by identity, not equality: equal ops of
     different types (gamma 2 and 2.0) need not pass the same checks.
     """

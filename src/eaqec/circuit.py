@@ -14,7 +14,10 @@ Circuit file schema (JSON)::
                | {"g": "PHASE", "t": i, "gamma": e}
                | {"g": "ADD", "ctl": i, "tgt": j}]}
 
-with 1-based qudits and field elements encoded as integers 0..q-1.
+with 1-based qudits and field elements encoded as integers 0..q-1.  Every
+ADD of a circuit is the unit controlled-add: the reduction log's scaled
+ADD(g) is inverted into p - g of them (`reduction.inverse_ops`), so a
+circuit still has a number of gates that grows with p.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ class Circuit:
     gates: Tuple[CliffordOp, ...]
 
     def __post_init__(self):
+        _check_header(self.p, self.m, self.n, self.c)
         # each distinct gate object once: `inverse_ops` repeats one object
         # up to p - 1 times.  Not by equality, since CliffordOp(DFT, True)
         # equals CliffordOp(DFT, 1) and only the first is invalid.
@@ -61,6 +65,8 @@ class Circuit:
                 _gate_args(g, self.n, q)
             except EaqecError as exc:
                 raise ParseError(f"gate {g}: {exc}") from None
+            if g.kind == ADD and g.gamma != 1:
+                raise ParseError(f"gate {g}: a circuit ADD is the unit ADD, not gamma {g.gamma}")
 
     @property
     def gate_count(self) -> int:
@@ -140,11 +146,27 @@ def circuit_to_json(circuit: Circuit) -> str:
         "\n}\n"))
 
 
-def _json_int(obj: dict, key: str, where: str) -> int:
-    v = obj.get(key)
+def _int(v, key: str, where: str) -> int:
     if type(v) is not int:
         raise ParseError(f"{where}: {key!r} must be an integer, got {v!r}")
     return v
+
+
+def _json_int(obj: dict, key: str, where: str) -> int:
+    return _int(obj.get(key), key, where)
+
+
+def _check_header(p, m, n, c):
+    """The one rule for a circuit's p, m, n and c: ints (not bools), a field
+    GF(p^m) with q <= MAX_Q (p and m bounded before p^m is formed), 1 <= n <=
+    MAX_N and 0 <= c <= n; a ParseError otherwise."""
+    for key, v in (("p", p), ("m", m), ("n", n), ("c", c)):
+        _int(v, key, "header")
+    if not 1 <= m <= 16 or p > MAX_Q or p ** m > MAX_Q or not is_prime(p):
+        raise ParseError(f"circuits act over a field GF(p^m) with q <= {MAX_Q}; "
+                         f"got p={p}, m={m}")
+    if not 1 <= n <= MAX_N or not 0 <= c <= n:
+        raise ParseError(f"circuits need 1 <= n <= {MAX_N} and 0 <= c <= n; got n={n}, c={c}")
 
 
 def circuit_from_json(text: str) -> Circuit:
@@ -158,12 +180,10 @@ def circuit_from_json(text: str) -> Circuit:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise ParseError("expected a version-1 circuit document")
-    p, m, n, c = (_json_int(doc, k, "header") for k in ("p", "m", "n", "c"))
-    if m != 1 or p > MAX_Q or not is_prime(p):
-        raise ParseError(f"circuits act over a prime field GF(p) with p <= {MAX_Q}; "
-                         f"got p={p}, m={m}")
-    if not 1 <= n <= MAX_N or not 0 <= c <= n:
-        raise ParseError(f"circuits need 1 <= n <= {MAX_N} and 0 <= c <= n; got n={n}, c={c}")
+    p, m, n, c = (doc.get(k) for k in ("p", "m", "n", "c"))
+    _check_header(p, m, n, c)
+    if m != 1:
+        raise ParseError(f"circuit files act over a prime field GF(p); got p={p}, m={m}")
     raw_gates = doc.get("gates")
     if not isinstance(raw_gates, list):
         raise ParseError(f"'gates' must be a list, got {raw_gates!r}")
@@ -174,7 +194,7 @@ def circuit_from_json(text: str) -> Circuit:
             raise ParseError(f"{where} is not an object: {entry!r}")
         kind = entry.get("g")
         if kind == ADD:
-            gates.append(CliffordOp(ADD, _json_int(entry, "tgt", where),
+            gates.append(CliffordOp(ADD, _json_int(entry, "tgt", where), gamma=1,
                                     control=_json_int(entry, "ctl", where)))
         elif kind == DFT:
             gates.append(CliffordOp(DFT, _json_int(entry, "t", where)))

@@ -4,7 +4,8 @@ Commands: reduce, circuit, verify, oracle, css, syndrome.
 
 Exit codes are a stable contract:
     0  success
-    2  input error (unreadable file, syntax, bad error spec, receiver-qudit error)
+    2  input error (unreadable file, syntax, bad error spec, receiver-qudit
+       error), or a resource error: the run ran out of memory
     3  not constructible in strict mode
     4  verification failure
 """
@@ -349,6 +350,9 @@ def main(argv=None) -> int:
     except DimensionTooLargeError as exc:
         print(f"skipped: {exc}")
         return EXIT_OK
+    except MemoryError:
+        print("resource error: out of memory", file=sys.stderr)
+        return EXIT_INPUT
     except EaqecError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -38,7 +38,7 @@ Two unitary constructors exist on purpose:
 * ``clifford_unitary`` returns the unitary whose conjugation U g U+
   realizes the check-matrix column rule for a CliffordOp.  The tableau
   convention matches conjugation by the *inverse* Fourier / multiplier /
-  phase gate (and by ADD itself), so DFT maps to the adjoint Fourier
+  phase gate (and by ADD(gamma) itself), so DFT maps to the adjoint Fourier
   matrix, MUL(g) to the multiplier with g^-1, and PHASE(g) to the phase
   gate with -g (odd q) or the multiplier-conjugated diagonal (even q).
 """
@@ -137,12 +137,14 @@ def phase_unitary(field: GaloisField, gamma: int) -> np.ndarray:
     return multiplier_unitary(field, field.inv(g0)) @ d
 
 
-def add_unitary(field: GaloisField) -> np.ndarray:
-    """ADD on two qudits (control first): |x, y> -> |x, x+y>."""
+def add_unitary(field: GaloisField, gamma: int) -> np.ndarray:
+    """ADD(gamma) on two qudits (control first): |x, y> -> |x, y + gamma x>."""
+    _gamma_check(field.q, ADD, gamma)
     q = field.q
+    add, mul, _ = _tables(field)
     x, y = np.divmod(np.arange(q * q), q)
     u = np.zeros((q * q, q * q), dtype=complex)
-    u[x * q + _tables(field)[0][x, y], x * q + y] = 1.0
+    u[x * q + add[y, mul[gamma, x]], x * q + y] = 1.0
     return u
 
 
@@ -236,7 +238,7 @@ def gate_unitary(field: GaloisField, op, n: int = 1) -> np.ndarray:
     elif op.kind == PHASE:
         u = phase_unitary(field, op.gamma)
     else:
-        u = add_unitary(field)
+        u = add_unitary(field, op.gamma)
     return _embed(field, u, _qudits(op), n)
 
 
@@ -254,7 +256,7 @@ def clifford_unitary(field: GaloisField, op: CliffordOp, n: int = 1) -> np.ndarr
     elif op.kind == PHASE:
         u = phase_unitary(field, op.gamma) @ multiplier_unitary(field, field.sqrt(op.gamma))
     else:
-        u = add_unitary(field)
+        u = add_unitary(field, op.gamma)
     return _embed(field, u, _qudits(op), n)
 
 

@@ -46,12 +46,11 @@ from .checkmatrix import (
     DFT,
     MAX_N,
     MUL,
-    PHASE,
     SWAP,
     CheckMatrix,
     CliffordOp,
     RowOp,
-    _gamma_check,
+    _gate_args,
     _row_args,
     _Tableau,
     add,
@@ -70,7 +69,6 @@ from .errors import (
     NonPrimeFieldError,
     NotConstructibleError,
     ReductionFailedError,
-    UnknownOpError,
     ZeroA2Error,
 )
 
@@ -166,13 +164,10 @@ class _Reducer:
             self.row(row_op_addmul(dest, src, scalar % self.p))
 
     def add_times(self, ctl, tgt, times):
-        """ADD(ctl -> tgt) times mod p times: one tableau pass, and one shared
-        op object logged once per repetition."""
+        """ADD(ctl -> tgt) raised to times mod p: one logged ADD(k), none for k = 0."""
         k = times % self.p
         if k:
-            op = add(ctl, tgt)
-            self.work.clifford(op, k)
-            self.ops.extend([op] * k)
+            self.gate(add(ctl, tgt, k))
 
     def x(self, r, col):
         return self.work.xs[r - 1][col - 1]
@@ -374,14 +369,19 @@ def augment_ebits(canonical: CheckMatrix, c: int) -> CheckMatrix:
 # ---------------------------------------------------------------------------
 
 def inverse_ops(ops, field):
-    """Inverted log in reverse order; gate set closed under repetition.
+    """Inverted log in reverse order, with every ADD a unit ADD.
 
-    A DFT or ADD is undone by repeating the op itself, so those gates are
-    the log's own objects, not copies.  Row ops pass `_row_args` with r =
-    MAX_N, the scope, and MUL and PHASE gammas `_gamma_check`; the consumer,
-    which knows n, checks the qudits.
+    A DFT is undone by repeating the op itself three times.  ADD(g), g in
+    the prime subfield, is undone by p - g unit ADDs: one shared unit
+    `add(control, target)` object per qudit pair, repeated, so a consumer
+    that works per distinct object (`apply_ops`, `Circuit`,
+    `circuit_to_json`) does so once per pair.  Over GF(p^m), ADD(g) with g
+    outside the prime subfield becomes the one gate ADD(-g).  MUL and PHASE
+    become MUL(1/g) and PHASE(-g).  Row ops pass `_row_args` and gates
+    `_gate_args` with r = n = MAX_N, the scope; the consumer, which knows n,
+    checks the qudits again.
     """
-    out = []
+    out, units = [], {}
     p = field.p
     for op in reversed(list(ops)):
         if isinstance(op, RowOp):
@@ -392,18 +392,21 @@ def inverse_ops(ops, field):
                 out.append(row_op_addmul(op.dest, op.src, (-lam) % p))
             else:
                 out.append(row_op_scale(op.dest, pow(lam, -1, p)))
-        elif type(op) is not CliffordOp:
-            raise UnknownOpError(f"{op!r} is not a CliffordOp")
-        elif op.kind == DFT:
+            continue
+        _, g, _ = _gate_args(op, MAX_N, field.q)
+        if op.kind == DFT:
             out.extend([op] * 3)
-        elif op.kind == MUL or op.kind == PHASE:
-            _gamma_check(field.q, op.kind, op.gamma)
-            g = field.inv(op.gamma) if op.kind == MUL else field.neg(op.gamma)
+        elif op.kind != ADD:
+            g = field.inv(g) if op.kind == MUL else field.neg(g)
             out.append(CliffordOp(op.kind, op.target, gamma=g))
-        elif op.kind == ADD:
-            out.extend([op] * (p - 1))
+        elif g < p:
+            pair = (op.control, op.target)
+            unit = units.get(pair)
+            if unit is None:
+                unit = units[pair] = op if g == 1 else add(*pair)
+            out.extend([unit] * (p - g))
         else:
-            raise UnknownOpError(f"unknown op {op!r}")
+            out.append(add(op.control, op.target, field.neg(g)))
     return out
 
 

@@ -167,6 +167,32 @@ def test_gate_validation():
         Circuit(p=5, m=1, n=3, c=0, gates=(row_op_swap(1, 2),))
 
 
+@pytest.mark.parametrize("header", [
+    {"p": None}, {"p": 5.0}, {"p": True}, {"p": "5"}, {"m": None}, {"m": True},
+    {"n": 3.0}, {"c": None}, {"c": True},
+    {"p": 4}, {"p": 1}, {"p": -5}, {"p": 65537}, {"m": 0}, {"m": 17}, {"p": 257, "m": 2},
+    {"n": 0}, {"n": MAX_N + 1}, {"c": -1}, {"c": 4},
+])
+def test_circuit_header_is_checked_like_a_file_header(header):
+    """p, m, n and c follow `circuit_from_json`'s header rule (an EaqecError,
+    never a TypeError), except that an in-memory circuit may act over
+    GF(p^m) while a circuit file is over GF(p) only."""
+    with pytest.raises(ParseError):
+        Circuit(**{"p": 5, "m": 1, "n": 3, "c": 0, **header}, gates=())
+    assert Circuit(p=2, m=2, n=3, c=3, gates=(add(1, 3),)).gate_count == 1
+    with pytest.raises(ParseError, match="prime field"):
+        circuit_from_json(_doc([], p=2, m=2))
+
+
+def test_circuit_adds_are_unit_adds():
+    with pytest.raises(ParseError) as exc:
+        Circuit(p=5, m=1, n=3, c=0, gates=(add(1, 2), add(1, 2, 2)))
+    assert str(exc.value) == "gate ADD(2,1->2): a circuit ADD is the unit ADD, not gamma 2"
+    res = reduce_matrix(_full_rank(random.Random(41), 7, 6, 6), NORMALIZED)
+    assert any(op.kind == ADD and op.gamma > 1 for op in res.oplog)
+    assert all(g.gamma == 1 for g in synthesize_encoding_circuit(res).gates if g.kind == ADD)
+
+
 def test_parse_bad_documents():
     with pytest.raises(ParseError):
         circuit_from_json("{not json")

@@ -144,6 +144,23 @@ def test_main_maps_library_errors_to_exit_codes(capsys, fixture_path, monkeypatc
     assert getattr(capsys.readouterr(), stream) == text
 
 
+@pytest.mark.parametrize("command,name", [("circuit", "circuit_to_json"),
+                                          ("verify", "synthesize_encoding_circuit")])
+def test_running_out_of_memory_is_a_resource_error(capsys, fixture_path, tmp_path,
+                                                   monkeypatch, command, name):
+    """A MemoryError (here raised by a patched allocation, as a circuit that
+    grows with p raises it for real) exits 2 with one line, no traceback."""
+    def allocate(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, name, allocate)
+    out = tmp_path / "big.circuit.json"
+    args = ["-o", out] if command == "circuit" else []
+    assert run([command, fixture_path("f5_pair.eacm"), *args]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "resource error: out of memory\n")
+    assert not out.exists()
+
+
 def test_oracle_skips_when_too_large(capsys, fixture_path):
     assert run(["oracle", fixture_path("f7_pairs.eacm"), "--max-dim", 100]) == 0
     assert "skipped" in capsys.readouterr().out

@@ -3,9 +3,9 @@
 For every instance and both modes the digest covers the op log
 (`str(op)`), the canonical rows, `(c, a, k)` and `circuit_to_json` of the
 encoding circuit (or the fact that strict mode refused the instance).
-It was recorded before the per-op CheckMatrix rebuild was replaced by the
-in-place working tableau; any change to what the pipeline emits, however
-small, changes the digest.
+It was re-recorded when the log began to carry one scaled ADD(gamma) per
+cleared entry instead of gamma unit ADDs; any change to what the pipeline
+emits, however small, changes the digest.
 
 The invariant digest covers only what the pipeline computes, not how it
 writes it down: (c, a, k), the forward log with every ADD written as unit
@@ -39,7 +39,7 @@ SHAPES = (
     ("scrambled", 7, 16, 2, 3), ("scrambled", 2, 16, 4, 4), ("scrambled", 7, 12, 3, 2),
 )
 
-GOLDEN = "6faedb1decd728ec5ff540ffe3e1e2d3c1595fe8b9976c56864195c46d2df7ef"
+GOLDEN = "e18744232684d04d548743c4a0908de87b876143863e39a4e7611101b8765d2c"
 
 # what a change of the op vocabulary must keep: see `invariant_lines`
 INVARIANT = "e251328b7b818234c54b3188cd177141169fe56f20ce507fc6a042abadf50115"

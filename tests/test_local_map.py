@@ -7,6 +7,7 @@ then runs only for an op that is already wrong (see `tests/test_audit.py`
 for the verdicts under injected faults).
 """
 
+import itertools
 import random
 
 import pytest
@@ -49,6 +50,28 @@ def test_local_map_is_the_tableau_rule(p):
                                                               for t in cols]
         assert audit._image(local, columns, p) == (
             [[x[t] for x in after.xs] for t in cols] + [[z[t] for z in after.zs] for t in cols])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_scaled_add_map_is_symplectic_for_every_gamma(p):
+    """ADD(gamma)'s map keeps the form for every gamma in F_p*, and it is the
+    tableau rule on every row over (x_t, x_c | z_t, z_c), a seeded sample of
+    them past p = 5."""
+    every = [(flat[:2], flat[2:]) for flat in itertools.product(range(p), repeat=4)]
+    if p > 5:
+        every = random.Random(1500 + p).sample(every, 200)
+    matrix = CheckMatrix.from_rows(make_field(p), every, n=2)
+    for g in range(1, p):
+        local = audit._local_map(ADD, g, p)
+        assert local == ((1, g, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -g % p, 1))
+        assert audit._is_symplectic(local, p)
+        after = _Tableau(matrix).clifford(add(2, 1, g))
+        columns = [[x[0] for x, _ in every], [x[1] for x, _ in every],
+                   [z[0] for _, z in every], [z[1] for _, z in every]]
+        assert audit._image(local, columns, p) == [
+            [x[0] for x in after.xs], [x[1] for x in after.xs],
+            [z[0] for z in after.zs], [z[1] for z in after.zs]]
+    assert audit._local_map(ADD, 0, p) is None
 
 
 def test_symplectic_check_rejects_a_wrong_map():

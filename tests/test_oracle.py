@@ -133,6 +133,29 @@ def test_add_conjugation_matches_column_rule_q5():
             assert abs(abs(ph) - 1) <= 1e-9
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_scaled_add_conjugation_matches_column_rule(p, m):
+    """ADD(gamma) for every gamma in F_q* and both orientations: the dense
+    gate sends |x, y> to |x, y + gamma x>, and conjugating every two-qudit
+    row by it gives the tableau's x_t += gamma x_c, z_c -= gamma z_t."""
+    f = make_field(p, m)
+    add_t, mul_t, _ = _tables(f)
+    every = [(flat[:2], flat[2:]) for flat in itertools.product(range(f.q), repeat=4)]
+    for g in range(1, f.q):
+        u = gate_unitary(f, add(1, 2, g), 2)
+        x, y = np.divmod(np.arange(f.q ** 2), f.q)
+        assert np.array_equal(u[x * f.q + add_t[y, mul_t[g, x]], np.arange(f.q ** 2)],
+                              np.ones(f.q ** 2))
+        assert _unitary(u)
+        for op in (add(1, 2, g), add(2, 1, g)):
+            u = clifford_unitary(f, op, 2)
+            moved = apply_clifford(CheckMatrix.from_rows(f, every, n=2), op)
+            for row, want in zip(every, moved.rows):
+                got, ph = conjugate_to_pauli(f, u, row)
+                assert (got.x, got.z) == want, (op, row)
+                assert abs(abs(ph) - 1) <= 1e-9
+
+
 def test_non_clifford_gate_detected():
     f = make_field(2)
     t_gate = np.diag([1, np.exp(1j * np.pi / 4)])
@@ -601,14 +624,15 @@ def test_gate_constructors_reject_gammas_outside_the_field():
 def _contract_ops(f, n):
     """Well-formed gates from in-range ints, then one malformed op per rule of
     `checkmatrix._gate_args`."""
-    ok = [dft(1), dft(n), add(1, n), add(n, 1)]
+    ok = [dft(1), dft(n), add(1, n), add(n, 1), CliffordOp(ADD, 2, gamma=1, control=1)]
     ok += [mul(g, 1) for g in range(1, f.q)] + [phase(g, n) for g in range(f.q)]
     bad = [dft(i) for i in (1.0, 1.5, True, False, "1", None, 0, n + 1)]
     bad += [add(c, t) for c, t in ((1, 2.0), (True, 2), (1, True), ("1", 2), (None, 2),
                                    (1, None), (0, 1), (1, n + 1), (1, 1), (n, n))]
     bad += [mul(1, True), phase(0, 1.0), mul(1, 0), phase(1, n + 1)]
+    bad += [add(1, 2, g) for g in (None, 0, True, 2.0, f.q)]
     bad += [CliffordOp(DFT, 1, gamma=1), CliffordOp(DFT, 1, gamma=0),
-            CliffordOp(ADD, 2, gamma=1, control=1), CliffordOp(DFT, 1, control=2),
+            CliffordOp(DFT, 1, control=2),
             CliffordOp(MUL, 1, gamma=1, control=2), CliffordOp(PHASE, 1, gamma=0, control=2),
             CliffordOp("T", 1), CliffordOp("dft", 1), CliffordOp(SWAP, 1, control=2)]
     bad += [build(g, 1) for build in (mul, phase)
