@@ -317,8 +317,8 @@ class _Tableau:
         Every check runs once, before anything is written.  For m = 1 the
         run is one pass of the gate's power in integer arithmetic mod p:
         DFT^k by k mod 4, MUL(g)^k = MUL(g^k), PHASE(g)^k = PHASE(k g) and
-        ADD(g)^k = ADD(k g) as x_t += k g x_c, z_c -= k g z_t.  For m > 1 the field-method
-        rule runs `times` times.
+        ADD(g)^k = ADD(k g) as x_t += k g x_c, z_c -= k g z_t.  For m > 1
+        the field-method rule runs `times` times.
         """
         f, xs, zs = self.field, self.xs, self.zs
         t, g, c = _gate_args(op, self.n, f.q)

@@ -403,7 +403,7 @@ def inverse_ops(ops, field):
             pair = (op.control, op.target)
             unit = units.get(pair)
             if unit is None:
-                unit = units[pair] = op if g == 1 else add(*pair)
+                unit = units[pair] = add(*pair)
             out.extend([unit] * (p - g))
         else:
             out.append(add(op.control, op.target, field.neg(g)))

@@ -324,13 +324,12 @@ def test_column_ops_are_bounded_by_n_alone(p):
 
 
 def test_inverse_of_scaled_add_is_a_run_of_one_shared_unit_add():
-    """ADD(g) becomes p - g unit ADDs, one object per qudit pair; a unit ADD
-    of the log serves as that object."""
+    """ADD(g) becomes p - g unit ADDs, one object per qudit pair."""
     ops = [add(1, 2, 3), add(2, 1, 5), add(1, 2, 6), add(1, 2)]
     inverse = inverse_ops(ops, make_field(7))
     assert [(g.control, g.target, g.gamma) for g in inverse] == (
         [(1, 2, 1)] * (6 + 1) + [(2, 1, 1)] * 2 + [(1, 2, 1)] * 4)
-    assert {id(g) for g in inverse} == {id(ops[3]), id(inverse[7])}
+    assert len({id(g) for g in inverse}) == 2
 
 
 def test_inverse_ops_checks_add_gammas_like_the_tableau():
