@@ -61,13 +61,13 @@ def test_scaled_add_map_is_symplectic_for_every_gamma(p):
     if p > 5:
         every = random.Random(1500 + p).sample(every, 200)
     matrix = CheckMatrix.from_rows(make_field(p), every, n=2)
+    columns = [[x[0] for x, _ in every], [x[1] for x, _ in every],
+               [z[0] for _, z in every], [z[1] for _, z in every]]
     for g in range(1, p):
         local = audit._local_map(ADD, g, p)
         assert local == ((1, g, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -g % p, 1))
         assert audit._is_symplectic(local, p)
         after = _Tableau(matrix).clifford(add(2, 1, g))
-        columns = [[x[0] for x, _ in every], [x[1] for x, _ in every],
-                   [z[0] for _, z in every], [z[1] for _, z in every]]
         assert audit._image(local, columns, p) == [
             [x[0] for x in after.xs], [x[1] for x in after.xs],
             [z[0] for z in after.zs], [z[1] for z in after.zs]]
